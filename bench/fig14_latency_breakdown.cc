@@ -16,7 +16,7 @@ namespace fae {
 namespace {
 
 void PrintBreakdown(const char* label, const Timeline& tl) {
-  const double total = tl.TotalSeconds();
+  const double total = tl.PhaseSumSeconds();
   std::printf("  %-10s total %-10s", label, HumanSeconds(total).c_str());
   for (Phase phase :
        {Phase::kEmbeddingForward, Phase::kMlpForward, Phase::kMlpBackward,

@@ -64,7 +64,7 @@ std::string_view CacheModeName(CacheMode mode);
 /// stream and prices an alternative schedule, but the numeric path never
 /// reads or writes it, which is what keeps training bit-identical cache
 /// on/off. Per-step savings are computed against the real StepAccountant
-/// and credited through Timeline::AddCacheSavedSeconds — outside
+/// and credited to the Timeline ledger as Credit::kCache — outside
 /// Timeline::State, exactly like the pipeline's overlap savings, so
 /// checkpoints stay byte-equal across cache modes.
 ///

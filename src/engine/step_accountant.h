@@ -27,7 +27,7 @@ class StepAccountant {
   /// Per-step time split into the CPU path, the GPU path, and the serial
   /// synchronization segment that neither device can hide. The pipelined
   /// trainer (--pipeline=overlap) uses the split to model intra-step
-  /// CPU/GPU overlap through Timeline::AddOverlapSavedSeconds.
+  /// CPU/GPU overlap, credited as Credit::kOverlap.
   struct BaselineParts {
     double cpu = 0.0;
     double gpu = 0.0;
@@ -38,32 +38,17 @@ class StepAccountant {
   };
 
   /// Hybrid CPU-GPU step (the paper's baseline). Fully synchronous: the
-  /// modeled wall time is the sum of all phases.
-  void ChargeBaselineStep(const BatchWork& w, Timeline& tl) const;
-
-  /// ChargeBaselineStep with the lane split returned. Phase charges are
-  /// identical to ChargeBaselineStep — only the caller's overlap
-  /// bookkeeping differs, which keeps checkpointed timelines byte-equal
-  /// across pipeline modes.
-  BaselineParts ChargeBaselineStepParts(const BatchWork& w,
-                                        Timeline& tl) const;
+  /// modeled wall time is the sum of all phases. Returns the lane split,
+  /// which only the caller's overlap bookkeeping reads — the phase charges
+  /// are the same in every pipeline mode, keeping checkpointed timelines
+  /// byte-equal across modes.
+  BaselineParts ChargeBaselineStep(const BatchWork& w, Timeline& tl) const;
 
   /// Gather/pack of one mini-batch into a staging workspace on the CPU
   /// (the BatchPipeline's per-batch work). Charged in every pipeline mode;
-  /// prefetching modes hide it under the previous step via
-  /// Timeline::AddOverlapSavedSeconds. Returns the charged seconds.
+  /// prefetching modes hide it under the previous step (Credit::kOverlap).
+  /// Returns the charged seconds.
   double ChargeInputPrep(uint64_t batch_bytes, Timeline& tl) const;
-
-  /// Pipelined hybrid step: the CPU's embedding work for the next batch
-  /// overlaps the GPUs' dense work for the current one (software
-  /// prefetching), so the steady-state wall time per batch is
-  /// max(cpu path, gpu path) + synchronization (transfers, all-reduce).
-  /// Phase and busy-time bookkeeping records the full device work; the
-  /// overlap is reflected through Timeline::AddWallSeconds. This is the
-  /// strongest baseline a reviewer would ask for — bench/abl_pipelined.cc
-  /// shows FAE's win shrinking but surviving it (the CPU path stays on
-  /// the critical path).
-  void ChargeBaselineStepPipelined(const BatchWork& w, Timeline& tl) const;
 
   /// Pure-GPU data-parallel step for a hot mini-batch.
   void ChargeHotStep(const BatchWork& w, Timeline& tl) const;
@@ -197,7 +182,7 @@ class StepAccountant {
 
   /// Baseline step with the frozen rows' backward scatter and sparse
   /// optimizer work removed (--stale-skip). Phase structure mirrors
-  /// ChargeBaselineParts: the forward gathers, activation transfers, dense
+  /// ChargeBaselineStep: the forward gathers, activation transfers, dense
   /// network, and all-reduce are untouched — skipping a row's update never
   /// changes what the forward pass reads or ships. The trainer charges
   /// this into a *scratch* timeline and prices it against the plain step;
@@ -221,8 +206,6 @@ class StepAccountant {
   const CostModel& cost_model() const { return *cost_; }
 
  private:
-  BaselineParts ChargeBaselineParts(const BatchWork& w, Timeline& tl) const;
-
   const CostModel* cost_;
 };
 

@@ -30,6 +30,13 @@ uint64_t BatchInputBytes(const BatchView& v) {
   return elems * 4;  // every stream is 4-byte elements
 }
 
+void OverlapTracker::BeginSegment() {
+  has_prev_ = false;
+  chunk_phase0_ = tl_->PhaseSumSeconds();
+  chunk_overlap0_ = tl_->credit(Credit::kOverlap);
+  chunk_window_ = 0.0;
+}
+
 void OverlapTracker::OnStep(double prep, double total, double overlapped) {
   if (mode_ == PipelineMode::kOff) return;
   double saved = 0.0;
@@ -43,17 +50,19 @@ void OverlapTracker::OnStep(double prep, double total, double overlapped) {
   }
   prev_unhidden_ = unhidden;
   has_prev_ = true;
-  if (saved > 0.0) tl_->AddOverlapSavedSeconds(saved);
+  if (saved > 0.0) tl_->AddCredit(Credit::kOverlap, saved);
 }
 
-void OverlapTracker::MarkChunkStart() {
-  chunk_phase0_ = tl_->PhaseSumSeconds();
-  chunk_saved0_ = tl_->overlap_saved_seconds();
+void OverlapTracker::CreditOverlay(Credit credit, double plain,
+                                   double variant) {
+  const double saved = plain - variant;
+  tl_->AddCredit(credit, saved);
+  if (saved > 0.0) chunk_window_ += saved;
 }
 
 double OverlapTracker::ChunkUnhiddenSeconds() const {
   return (tl_->PhaseSumSeconds() - chunk_phase0_) -
-         (tl_->overlap_saved_seconds() - chunk_saved0_);
+         (tl_->credit(Credit::kOverlap) - chunk_overlap0_) - chunk_window_;
 }
 
 StepExecutor::StepExecutor(RecModel* model, const Options& options)

@@ -46,10 +46,12 @@ std::string_view PipelineModeName(PipelineMode mode);
 /// time.
 uint64_t BatchInputBytes(const BatchView& v);
 
-/// Per-step overlap bookkeeping shared by the serial and pipelined drivers
-/// (DESIGN.md §11). Phase charges are identical in every mode; modes
-/// differ only in the seconds credited back through
-/// Timeline::AddOverlapSavedSeconds:
+/// The credit ledger's front end, shared by the serial and pipelined
+/// drivers (DESIGN.md §11, §13). Phase charges are identical in every
+/// mode; modes differ only in the seconds credited back through
+/// Timeline::AddCredit.
+///
+/// Overlap (Credit::kOverlap), per step:
 ///   - kPrefetch (depth >= 2): batch b's staging gather runs on the
 ///     prefetch thread while step b-1 computes, so up to the previous
 ///     step's unhidden seconds of b's prep are hidden;
@@ -62,21 +64,29 @@ class OverlapTracker {
   OverlapTracker(PipelineMode mode, size_t depth, Timeline* tl)
       : mode_(mode), depth_(depth), tl_(tl) {}
 
-  void BeginSegment() { has_prev_ = false; }
+  /// Starts a segment (an epoch, or one FAE schedule chunk): prefetch
+  /// restarts and the chunk window opens at zero.
+  void BeginSegment();
 
   /// One training step: `prep` staging seconds, `total` compute seconds
   /// charged, `overlapped` the step's wall with its CPU/GPU lanes
   /// overlapped (== `total` for single-lane steps).
   void OnStep(double prep, double total, double overlapped);
 
-  /// Chunk-window marks for FAE's hot/cold overlap (kOverlap only): a cold
-  /// chunk's unhidden CPU seconds later overlap the next hot chunk's
-  /// unhidden GPU+DMA seconds. "Unhidden" subtracts savings already
-  /// recorded inside the window, so nothing is credited twice.
-  void MarkChunkStart();
+  /// An overlay (cache, sharding, stale-skip) credits `plain - variant`
+  /// seconds to `credit`: `plain` is what the real timeline charged,
+  /// `variant` the same event under the overlay. Positive credit also
+  /// fills the segment's window.
+  void CreditOverlay(Credit credit, double plain, double variant);
+
+  /// Seconds charged since BeginSegment that nothing has hidden yet: the
+  /// phase delta minus the overlap credited since, minus the window — so
+  /// no second is credited twice. With kOverlap, FAE pairs a cold chunk's
+  /// unhidden CPU seconds with the next hot chunk's unhidden GPU+DMA ones.
   double ChunkUnhiddenSeconds() const;
 
   PipelineMode mode() const { return mode_; }
+  Timeline& timeline() const { return *tl_; }
 
  private:
   PipelineMode mode_;
@@ -85,7 +95,8 @@ class OverlapTracker {
   bool has_prev_ = false;
   double prev_unhidden_ = 0.0;
   double chunk_phase0_ = 0.0;
-  double chunk_saved0_ = 0.0;
+  double chunk_overlap0_ = 0.0;
+  double chunk_window_ = 0.0;
 };
 
 /// The reusable execution core shared by the batch Trainer and the online

@@ -72,6 +72,18 @@ Status ValidateCacheOptions(const TrainOptions& options) {
   return Status::OK();
 }
 
+LookaheadCache::Options CacheOptions(const TrainOptions& options,
+                                     uint64_t row_bytes) {
+  return {.budget_rows = options.cache_budget_rows,
+          .lookahead = options.cache_lookahead,
+          .row_bytes = row_bytes};
+}
+
+StalenessTracker::Options StaleOptions(const TrainOptions& options) {
+  return {.threshold = options.stale_threshold,
+          .min_visits = static_cast<uint32_t>(options.stale_min_visits)};
+}
+
 /// Demands of the quantized cold store (TrainOptions::cold_precision),
 /// mirrored by the CLI's early rejection. Combinations whose budget or
 /// traffic accounting assumes fp32 cold rows are errors, not silent
@@ -109,12 +121,6 @@ Status ValidateStaleOptions(const TrainOptions& options) {
         "emulation materializes gradients outside the fused path that "
         "measures per-row update magnitudes");
   }
-  if (options.pipelined_baseline) {
-    return Status::InvalidArgument(
-        "--stale-skip cannot be combined with the legacy "
-        "pipelined_baseline cost model: the overlay prices against the "
-        "per-step part charges its wall accumulator does not produce");
-  }
   if (options.cache != CacheMode::kOff) {
     return Status::InvalidArgument(
         "--stale-skip cannot be combined with --cache=oracle: both "
@@ -130,25 +136,45 @@ Status ValidateStaleOptions(const TrainOptions& options) {
   return Status::OK();
 }
 
-/// Drives a LookaheadCache as a cost-model overlay: prices each cold step
-/// under the cache against the plain hybrid step (both through the real
-/// StepAccountant, the cached variant into a scratch timeline) and credits
-/// the difference via Timeline::AddCacheSavedSeconds. The real timeline's
-/// phase charges never change — that is the bit-identical contract.
-struct OracleCacheRig {
-  LookaheadCache cache;
-  const StepAccountant* accountant = nullptr;
-  /// Whether the plain step the cache replaces runs its CPU/GPU lanes
-  /// overlapped (--pipeline=overlap) or serially (prefetch).
-  bool overlap_lanes = false;
-  /// Positive per-step savings accumulated in the current schedule chunk;
-  /// the FAE kOverlap pairing logic subtracts this from a cold chunk's
-  /// unhidden span so the same seconds are never credited twice.
-  double chunk_saved = 0.0;
+/// The cost overlays (DESIGN.md §13, §15, §16) as pricing routines. Each
+/// prices one event both ways through the real StepAccountant — the plain
+/// charge the real timeline already carries, and the overlay's variant
+/// charged into a scratch timeline — and hands the pair to the credit
+/// ledger (OverlapTracker::CreditOverlay). The real timeline's phase
+/// charges never change with an overlay: that is the bit-identical
+/// contract, and why checkpoints stay byte-equal across overlay modes.
+struct Overlays {
+  Overlays(const StepAccountant& accountant, OverlapTracker& ledger)
+      : accountant(accountant), ledger(ledger) {}
 
-  double PriceStep(const BatchWork& w,
-                   const StepAccountant::BaselineParts& plain,
-                   const LookaheadCache::StepCharge& sc, Timeline& tl) {
+  const StepAccountant& accountant;
+  OverlapTracker& ledger;
+  /// --cache=oracle: the lookahead oracle cache in front of cold steps.
+  LookaheadCache cache;
+  /// --sharding=lpt|statistical: the placement, each hot batch's traffic
+  /// split (indexed like hot_batches), and the placement's byte totals for
+  /// scaling syncs that ship less than the whole slice (dirty sync assumes
+  /// uniform dirtiness).
+  ShardedPlacement placement;
+  std::vector<StepAccountant::ShardedStepTraffic> traffic;
+  uint64_t hot_bytes = 0;
+  uint64_t replicated_bytes = 0;
+  uint64_t shard_bytes_total = 0;
+  uint64_t max_shard_bytes = 0;
+
+  /// Whether the plain step runs its CPU/GPU lanes overlapped
+  /// (--pipeline=overlap) or serially; the variant matches it.
+  bool overlap_lanes() const {
+    return ledger.mode() == PipelineMode::kOverlap;
+  }
+  double Lanes(const StepAccountant::BaselineParts& parts) const {
+    return overlap_lanes() ? parts.Overlapped() : parts.Total();
+  }
+
+  /// One cold step under the cache, against the plain hybrid step.
+  void CacheStep(const BatchWork& w,
+                 const StepAccountant::BaselineParts& plain) {
+    const LookaheadCache::StepCharge sc = cache.OnStep();
     StepAccountant::OracleCacheTraffic t;
     const uint64_t lookups = sc.hit_lookups + sc.miss_lookups;
     if (lookups > 0) {
@@ -166,13 +192,10 @@ struct OracleCacheRig {
     t.writeback_bytes = sc.writeback_bytes;
     Timeline scratch;
     const StepAccountant::OracleCacheParts parts =
-        accountant->ChargeOracleCacheStep(w, t, scratch);
-    const double plain_eff =
-        overlap_lanes ? plain.Overlapped() : plain.Total();
-    const double saved = plain_eff - parts.EffectiveSeconds(overlap_lanes);
-    tl.AddCacheSavedSeconds(saved);
-    if (saved > 0.0) chunk_saved += saved;
-    Timeline::CacheCounters& cc = tl.cache_counters();
+        accountant.ChargeOracleCacheStep(w, t, scratch);
+    ledger.CreditOverlay(Credit::kCache, Lanes(plain),
+                         parts.EffectiveSeconds(overlap_lanes()));
+    Timeline::CacheCounters& cc = ledger.timeline().cache_counters();
     cc.hits += sc.hit_lookups;
     cc.misses += sc.miss_lookups;
     cc.stale_refreshes += sc.stale_refreshes;
@@ -180,118 +203,68 @@ struct OracleCacheRig {
     cc.writeback_bytes += sc.writeback_bytes;
     cc.plain_transfer_bytes += 2 * w.embedding_activation_bytes;
     cc.effective_transfer_bytes += parts.transfer_bytes;
-    return saved;
   }
 
   /// Boundary writebacks (hot-chunk entry flush, end-of-run drain): real
-  /// DMA the plain run never pays, priced through the same sync path the
-  /// trainer charges and debited from the savings.
-  void ChargeWriteback(uint64_t bytes, Timeline& tl) {
+  /// DMA the plain run never pays, priced through the trainer's sync path
+  /// and debited from the cache's credit.
+  void CacheWriteback(uint64_t bytes) {
     if (bytes == 0) return;
     Timeline scratch;
-    accountant->ChargeSyncToCpu(bytes, scratch);
-    tl.AddCacheSavedSeconds(-scratch.PhaseSumSeconds());
-    Timeline::CacheCounters& cc = tl.cache_counters();
+    accountant.ChargeSyncToCpu(bytes, scratch);
+    ledger.CreditOverlay(Credit::kCache, 0.0, scratch.PhaseSumSeconds());
+    Timeline::CacheCounters& cc = ledger.timeline().cache_counters();
     cc.writeback_bytes += bytes;
     cc.effective_transfer_bytes += bytes;
   }
-};
 
-/// Prices hot steps and hot-slice syncs under a sharded placement
-/// (TrainOptions::sharding) against the replicate-mode charges the real
-/// timeline always carries, crediting the difference through
-/// Timeline::AddShardingSavedSeconds — the OracleCacheRig overlay contract
-/// applied to the hot side. The credit is signed: whole-table LPT usually
-/// *loses* to replication and the modeled wall must show it.
-struct ShardingRig {
-  ShardedPlacement placement;
-  const StepAccountant* accountant = nullptr;
-  /// Per-hot-batch traffic splits, precomputed once from each batch's
-  /// actual lookups against the placement (indexed like hot_batches).
-  std::vector<StepAccountant::ShardedStepTraffic> traffic;
-  /// Placement byte totals for scaling sync events that ship fewer bytes
-  /// than the whole slice (dirty sync assumes uniform dirtiness).
-  uint64_t hot_bytes = 0;
-  uint64_t replicated_bytes = 0;
-  uint64_t shard_bytes_total = 0;
-  uint64_t max_shard_bytes = 0;
-  /// Positive savings accumulated in the current schedule chunk; the
-  /// kOverlap pairing subtracts this from a hot chunk's unhidden span,
-  /// mirroring OracleCacheRig::chunk_saved on the cold side.
-  double chunk_saved = 0.0;
-
-  void Credit(double plain_seconds, double sharded_seconds, Timeline& tl) {
-    const double saved = plain_seconds - sharded_seconds;
-    tl.AddShardingSavedSeconds(saved);
-    if (saved > 0.0) chunk_saved += saved;
-  }
-
-  void PriceHotStep(const BatchWork& w, size_t batch, double plain_seconds,
-                    Timeline& tl) {
+  /// One hot step under the sharded placement, against the replicated
+  /// step's `plain_seconds`.
+  void ShardedHotStep(const BatchWork& w, size_t batch,
+                      double plain_seconds) {
     Timeline scratch;
-    accountant->ChargeShardedHotStep(w, traffic[batch], scratch);
-    Credit(plain_seconds, scratch.PhaseSumSeconds(), tl);
+    accountant.ChargeShardedHotStep(w, traffic[batch], scratch);
+    ledger.CreditOverlay(Credit::kSharding, plain_seconds,
+                         scratch.PhaseSumSeconds());
   }
 
-  void PriceSyncToGpus(uint64_t shipped_bytes, Timeline& tl) {
+  /// One hot-slice sync of `shipped_bytes` (to the GPUs or back) under the
+  /// sharded placement, against the replicated broadcast / copy-back.
+  void ShardedSync(bool to_gpus, uint64_t shipped_bytes) {
     const double frac =
         hot_bytes > 0
             ? static_cast<double>(shipped_bytes) / static_cast<double>(
                                                        hot_bytes)
             : 0.0;
+    const auto scaled = [frac](uint64_t bytes) {
+      return static_cast<uint64_t>(static_cast<double>(bytes) * frac);
+    };
     Timeline plain;
-    accountant->ChargeSyncToGpus(shipped_bytes, plain);
     Timeline scratch;
-    accountant->ChargeShardedSyncToGpus(
-        static_cast<uint64_t>(static_cast<double>(replicated_bytes) * frac),
-        static_cast<uint64_t>(static_cast<double>(shard_bytes_total) * frac),
-        static_cast<uint64_t>(static_cast<double>(max_shard_bytes) * frac),
-        scratch);
-    Credit(plain.PhaseSumSeconds(), scratch.PhaseSumSeconds(), tl);
+    if (to_gpus) {
+      accountant.ChargeSyncToGpus(shipped_bytes, plain);
+      accountant.ChargeShardedSyncToGpus(scaled(replicated_bytes),
+                                         scaled(shard_bytes_total),
+                                         scaled(max_shard_bytes), scratch);
+    } else {
+      accountant.ChargeSyncToCpu(shipped_bytes, plain);
+      accountant.ChargeShardedSyncToCpu(scaled(replicated_bytes),
+                                        scaled(shard_bytes_total),
+                                        scaled(max_shard_bytes), scratch);
+    }
+    ledger.CreditOverlay(Credit::kSharding, plain.PhaseSumSeconds(),
+                         scratch.PhaseSumSeconds());
   }
 
-  void PriceSyncToCpu(uint64_t shipped_bytes, Timeline& tl) {
-    const double frac =
-        hot_bytes > 0
-            ? static_cast<double>(shipped_bytes) / static_cast<double>(
-                                                       hot_bytes)
-            : 0.0;
-    Timeline plain;
-    accountant->ChargeSyncToCpu(shipped_bytes, plain);
-    Timeline scratch;
-    accountant->ChargeShardedSyncToCpu(
-        static_cast<uint64_t>(static_cast<double>(replicated_bytes) * frac),
-        static_cast<uint64_t>(static_cast<double>(shard_bytes_total) * frac),
-        static_cast<uint64_t>(static_cast<double>(max_shard_bytes) * frac),
-        scratch);
-    Credit(plain.PhaseSumSeconds(), scratch.PhaseSumSeconds(), tl);
-  }
-};
-
-/// Prices each CPU step under stale-update skipping against the plain
-/// hybrid step the real timeline always carries, crediting the elided
-/// backward-gather and optimizer work through
-/// Timeline::AddStaleSkipSavedSeconds — the OracleCacheRig overlay
-/// contract applied to the fused sparse step. Reads the traffic split the
-/// StalenessTracker counted during MathStep, so it must run *after* the
-/// math (the real charges already landed before it, which is fine: the
-/// overlay only moves the savings accumulator).
-struct StaleSkipRig {
-  const StepAccountant* accountant = nullptr;
-  /// Whether the plain step runs its CPU/GPU lanes overlapped
-  /// (--pipeline=overlap) or serially.
-  bool overlap_lanes = false;
-  /// Positive per-step savings accumulated in the current schedule chunk;
-  /// the FAE kOverlap pairing subtracts this from a cold chunk's unhidden
-  /// span, mirroring OracleCacheRig::chunk_saved.
-  double chunk_saved = 0.0;
-
-  void PriceStep(const BatchWork& w,
-                 const StepAccountant::BaselineParts& plain,
-                 const StalenessTracker& tracker, Timeline& tl) {
+  /// One CPU step under stale-update skipping, against the plain hybrid
+  /// step. Reads the split the StalenessTracker counted during MathStep,
+  /// so it runs *after* the math.
+  void StaleSkipStep(const BatchWork& w,
+                     const StepAccountant::BaselineParts& plain,
+                     const StalenessTracker& tracker) {
     const uint64_t skipped_rows = tracker.step_skipped_rows();
     const uint64_t updated_rows = tracker.step_updated_rows();
-    Timeline::StaleSkipCounters& sc = tl.stale_skip_counters();
+    Timeline::StaleSkipCounters& sc = ledger.timeline().stale_skip_counters();
     sc.skipped_rows += skipped_rows;
     sc.updated_rows += updated_rows;
     // Nothing elided: the skipped step is the plain step (no scratch
@@ -311,15 +284,9 @@ struct StaleSkipRig {
     t.live_touched_bytes = w.touched_bytes * updated_rows / rows;
     t.skipped_touched_bytes = w.touched_bytes - t.live_touched_bytes;
     Timeline scratch;
-    const StepAccountant::BaselineParts skipped =
-        accountant->ChargeStaleSkipStep(w, t, scratch);
-    const double plain_eff =
-        overlap_lanes ? plain.Overlapped() : plain.Total();
-    const double skip_eff =
-        overlap_lanes ? skipped.Overlapped() : skipped.Total();
-    const double saved = plain_eff - skip_eff;
-    tl.AddStaleSkipSavedSeconds(saved);
-    if (saved > 0.0) chunk_saved += saved;
+    ledger.CreditOverlay(
+        Credit::kStaleSkip, Lanes(plain),
+        Lanes(accountant.ChargeStaleSkipStep(w, t, scratch)));
   }
 };
 
@@ -364,7 +331,6 @@ uint64_t Trainer::OptionsFingerprint() const {
   h = FnvMix(h, options_.eval_batch);
   h = FnvMix(h, options_.evals_per_epoch);
   h = FnvMix(h, static_cast<uint64_t>(options_.sync_strategy));
-  h = FnvMix(h, options_.pipelined_baseline ? 1 : 0);
   h = FnvMix(h, options_.fp16_embeddings ? 1 : 0);
   h = FnvMix(h, options_.seed);
   // num_threads is deliberately absent: the kernels are bit-identical at
@@ -400,12 +366,6 @@ StatusOr<bool> Trainer::DrainFaults(
   FaultInjector* injector = options_.fault_injector;
   if (injector == nullptr || injector->empty()) return false;
   FaultStats& stats = injector->stats();
-  // Recovery time must reach the wall accumulator too when the run models
-  // overlapped execution (Timeline::TotalSeconds then ignores phase sums).
-  auto charge_recovery = [&](double seconds) {
-    report.timeline.Charge(Phase::kFaultRecovery, seconds);
-    if (options_.pipelined_baseline) report.timeline.AddWallSeconds(seconds);
-  };
   for (const FaultEvent& event : injector->Drain(iteration)) {
     switch (event.kind) {
       case FaultKind::kDeviceTransient: {
@@ -421,7 +381,7 @@ StatusOr<bool> Trainer::DrainFaults(
         double backoff = kRetryBackoffSeconds;
         for (uint32_t attempt = 0; attempt < event.times; ++attempt) {
           ++stats.retries;
-          charge_recovery(backoff);
+          report.timeline.Charge(Phase::kFaultRecovery, backoff);
           backoff *= 2.0;
         }
         FAE_LOG(Warning) << "transient device fault at step " << iteration
@@ -431,7 +391,7 @@ StatusOr<bool> Trainer::DrainFaults(
       }
       case FaultKind::kLinkStall:
         ++stats.link_stalls;
-        charge_recovery(event.stall_seconds);
+        report.timeline.Charge(Phase::kFaultRecovery, event.stall_seconds);
         FAE_LOG(Warning) << "link stall at step " << iteration << " ("
                          << event.stall_seconds << " s)";
         break;
@@ -469,7 +429,8 @@ StatusOr<bool> Trainer::DrainFaults(
 
 void Trainer::FinishReport(TrainReport& report,
                            const std::vector<BatchView>& eval_batches,
-                           RunningMetric& metric) const {
+                           RunningMetric& metric,
+                           const StalenessTracker* staleness) const {
   if (options_.fault_injector != nullptr) {
     report.faults = options_.fault_injector->stats();
   }
@@ -477,10 +438,10 @@ void Trainer::FinishReport(TrainReport& report,
   // plain total when nothing overlapped).
   report.modeled_seconds = report.timeline.OverlappedTotalSeconds();
   report.prep_seconds = report.timeline.seconds(Phase::kInputPrep);
-  report.overlap_saved_seconds = report.timeline.overlap_saved_seconds();
+  report.overlap_saved_seconds = report.timeline.credit(Credit::kOverlap);
   report.overlap_fraction = report.timeline.OverlapFraction();
-  report.cache_saved_seconds = report.timeline.cache_saved_seconds();
-  report.sharding_saved_seconds = report.timeline.sharding_saved_seconds();
+  report.cache_saved_seconds = report.timeline.credit(Credit::kCache);
+  report.sharding_saved_seconds = report.timeline.credit(Credit::kSharding);
   const Timeline::CacheCounters& cc = report.timeline.cache_counters();
   report.cache_hits = cc.hits;
   report.cache_misses = cc.misses;
@@ -494,10 +455,16 @@ void Trainer::FinishReport(TrainReport& report,
   report.cache_writeback_bytes = cc.writeback_bytes;
   report.cache_plain_transfer_bytes = cc.plain_transfer_bytes;
   report.cache_effective_transfer_bytes = cc.effective_transfer_bytes;
-  // The guard counters reach the timeline in the drivers' finalize step
-  // (the tracker lives there); stale_final_threshold is set there too.
-  report.stale_skip_saved_seconds =
-      report.timeline.stale_skip_saved_seconds();
+  // The per-step skip/update counts reached the timeline as the overlay
+  // priced each step; the guard's counters live in the tracker until now.
+  if (staleness != nullptr) {
+    Timeline::StaleSkipCounters& sc = report.timeline.stale_skip_counters();
+    sc.reactivated_rows += staleness->total_reactivated_rows();
+    sc.guard_tightens += staleness->guard_tightens();
+    sc.guard_widens += staleness->guard_widens();
+    report.stale_final_threshold = staleness->threshold();
+  }
+  report.stale_skip_saved_seconds = report.timeline.credit(Credit::kStaleSkip);
   const Timeline::StaleSkipCounters& ssc =
       report.timeline.stale_skip_counters();
   report.stale_skipped_rows = ssc.skipped_rows;
@@ -528,27 +495,25 @@ TrainReport Trainer::TrainBaseline(const Dataset& dataset,
 
 StatusOr<TrainReport> Trainer::TrainBaselineResumable(
     const Dataset& dataset, const Dataset::Split& split) {
-  if (options_.pipeline != PipelineMode::kOff && options_.pipelined_baseline) {
-    return Status::InvalidArgument(
-        "--pipeline and the legacy pipelined_baseline cost model are "
-        "mutually exclusive (both model overlapped execution)");
-  }
   FAE_RETURN_IF_ERROR(ValidateCacheOptions(options_));
   if (options_.cold_precision != ColdPrecision::kFp32) {
     return Status::InvalidArgument(
-        "--cold-precision applies to the FAE placement only: the baseline "
-        "has no hot/cold partition, so there is no cold store to quantize");
+        "--cold-precision applies to the FAE placement only (--mode=fae): "
+        "the baseline has no hot/cold partition, so there is no cold store "
+        "to quantize");
   }
   if (options_.sharding != ShardingMode::kReplicate) {
     return Status::InvalidArgument(
-        "--sharding applies to the FAE placement only: the baseline keeps "
-        "every embedding on the CPU, so there is no hot slice to shard");
+        "--sharding applies to the FAE placement only (--mode=fae): the "
+        "baseline keeps every embedding on the CPU, so there is no hot "
+        "slice to shard");
   }
   FAE_RETURN_IF_ERROR(ValidateStaleOptions(options_));
   if (options_.stale_skip == StaleSkipMode::kCold) {
     return Status::InvalidArgument(
-        "--stale-skip=cold applies to the FAE placement only: the baseline "
-        "has no hot/cold partition, so there is no hot set to pin live");
+        "--stale-skip=cold applies to the FAE placement only (--mode=fae): "
+        "the baseline has no hot/cold partition, so there is no hot set to "
+        "pin live");
   }
   exec_.MaybeQuantizeTables();
   TrainReport report;
@@ -614,28 +579,14 @@ StatusOr<TrainReport> Trainer::TrainBaselineResumable(
   for (EmbeddingTable& t : model_->tables()) tables.push_back(&t);
 
   // Stale-update skipping (kAll only here; kCold was rejected above). The
-  // tracker rides inside every fused step; the rig prices what it elided.
+  // tracker rides inside every fused step; the overlay prices what it
+  // elided.
   const bool stale_on = options_.stale_skip != StaleSkipMode::kOff;
   StalenessTracker staleness;
-  StaleSkipRig stale_rig;
   if (stale_on) {
-    StalenessTracker::Options sopt;
-    sopt.threshold = options_.stale_threshold;
-    sopt.min_visits = static_cast<uint32_t>(options_.stale_min_visits);
-    staleness.Init(dataset.schema().table_rows, sopt);
-    stale_rig.accountant = &accountant_;
-    stale_rig.overlap_lanes = options_.pipeline == PipelineMode::kOverlap;
+    staleness.Init(dataset.schema().table_rows, StaleOptions(options_));
   }
-  // Guard counters live in the tracker until a report is finished; the
-  // per-step skip/update counts reach the timeline in PriceStep.
-  auto stale_finalize = [&] {
-    if (!stale_on) return;
-    Timeline::StaleSkipCounters& sc = report.timeline.stale_skip_counters();
-    sc.reactivated_rows += staleness.total_reactivated_rows();
-    sc.guard_tightens += staleness.guard_tightens();
-    sc.guard_widens += staleness.guard_widens();
-    report.stale_final_threshold = staleness.threshold();
-  };
+  const StalenessTracker* stale_report = stale_on ? &staleness : nullptr;
 
   RunningMetric metric;
   RunningMetric window;
@@ -720,30 +671,25 @@ StatusOr<TrainReport> Trainer::TrainBaselineResumable(
   }
   OverlapTracker tracker(options_.pipeline, options_.pipeline_depth,
                          &report.timeline);
-  OracleCacheRig rig;
+  Overlays overlays(accountant_, tracker);
   if (cache_on) {
-    LookaheadCache::Options copt;
-    copt.budget_rows = options_.cache_budget_rows;
-    copt.lookahead = options_.cache_lookahead;
     // Same per-row payload the FAE sync machinery ships: the embedding
     // vector plus the optimizer's row index word.
-    copt.row_bytes =
-        dataset.schema().embedding_dim * sizeof(float) + sizeof(uint32_t);
-    rig.cache.Init(dataset.schema().table_rows, copt);
-    rig.accountant = &accountant_;
-    rig.overlap_lanes = options_.pipeline == PipelineMode::kOverlap;
+    const DatasetSchema& schema = dataset.schema();
+    overlays.cache.Init(
+        schema.table_rows,
+        CacheOptions(options_, schema.embedding_dim * sizeof(float) +
+                                   sizeof(uint32_t)));
   }
   // The batch descriptors double as the cache's oracle feed: at a segment
   // start the first `cache_lookahead` batches enter the window, and each
   // step hands the next one over as it retires — the window stays exactly
   // as far ahead as the configured lookahead permits.
   auto cache_push = [&](size_t b) {
-    rig.cache.PushBatch(dataset.flat(), descs[b].ids);
+    overlays.cache.PushBatch(dataset.flat(), descs[b].ids);
   };
   auto cache_drain = [&] {
-    if (cache_on) {
-      rig.ChargeWriteback(rig.cache.FlushAllDirty(), report.timeline);
-    }
+    if (cache_on) overlays.CacheWriteback(overlays.cache.FlushAllDirty());
   };
 
   for (size_t epoch = start_epoch; epoch < options_.epochs; ++epoch) {
@@ -764,7 +710,7 @@ StatusOr<TrainReport> Trainer::TrainBaselineResumable(
     }
     tracker.BeginSegment();
     if (cache_on) {
-      rig.cache.BeginSegment();
+      overlays.cache.BeginSegment();
       const size_t ahead =
           std::min(num_batches, first + options_.cache_lookahead);
       for (size_t b = first; b < ahead; ++b) cache_push(b);
@@ -775,8 +721,7 @@ StatusOr<TrainReport> Trainer::TrainBaselineResumable(
       if (crashed) {
         // ~BatchPipeline cancels the abandoned segment.
         cache_drain();
-        stale_finalize();
-        FinishReport(report, eval_set.views, metric);
+        FinishReport(report, eval_set.views, metric, stale_report);
         return report;
       }
       const BatchView* view = nullptr;
@@ -798,29 +743,20 @@ StatusOr<TrainReport> Trainer::TrainBaselineResumable(
       // hybrid step; pipelined modes then credit back what overlap hid.
       const double prep = accountant_.ChargeInputPrep(BatchInputBytes(*view),
                                                       report.timeline);
-      StepAccountant::BaselineParts parts{};
-      if (options_.pipelined_baseline) {
-        report.timeline.AddWallSeconds(prep);
-        accountant_.ChargeBaselineStepPipelined(*work, report.timeline);
-      } else {
-        parts = accountant_.ChargeBaselineStepParts(*work, report.timeline);
-        tracker.OnStep(prep, parts.Total(), parts.Overlapped());
-        if (cache_on) {
-          const LookaheadCache::StepCharge sc = rig.cache.OnStep();
-          rig.PriceStep(*work, parts, sc, report.timeline);
-          const size_t ahead = b + options_.cache_lookahead;
-          if (ahead < num_batches) cache_push(ahead);
-        }
+      const StepAccountant::BaselineParts parts =
+          accountant_.ChargeBaselineStep(*work, report.timeline);
+      tracker.OnStep(prep, parts.Total(), parts.Overlapped());
+      if (cache_on) {
+        overlays.CacheStep(*work, parts);
+        const size_t ahead = b + options_.cache_lookahead;
+        if (ahead < num_batches) cache_push(ahead);
       }
       if (options_.run_math) {
         exec_.MathStep(*view, tables, metric, window,
                        stale_on ? &staleness : nullptr);
-        // After the math: the tracker's step counters now hold this step's
-        // skip/update split (stale_on implies !pipelined_baseline, so
-        // `parts` carries the plain charges to price against).
-        if (stale_on) {
-          stale_rig.PriceStep(*work, parts, staleness, report.timeline);
-        }
+        // After the math: the tracker's step counters now hold this
+        // step's skip/update split.
+        if (stale_on) overlays.StaleSkipStep(*work, parts, staleness);
       }
       if (pipelined) prefetcher->Release();
       ++iteration;
@@ -840,8 +776,7 @@ StatusOr<TrainReport> Trainer::TrainBaselineResumable(
     }
   }
   cache_drain();
-  stale_finalize();
-  FinishReport(report, eval_set.views, metric);
+  FinishReport(report, eval_set.views, metric, stale_report);
   return report;
 }
 
@@ -861,11 +796,6 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
                                                 const Dataset::Split& split,
                                                 const FaeConfig& config,
                                                 const FaePlan& plan) {
-  if (options_.pipeline != PipelineMode::kOff && options_.pipelined_baseline) {
-    return Status::InvalidArgument(
-        "--pipeline and the legacy pipelined_baseline cost model are "
-        "mutually exclusive (both model overlapped execution)");
-  }
   FAE_RETURN_IF_ERROR(ValidateCacheOptions(options_));
   FAE_RETURN_IF_ERROR(ValidateColdOptions(options_));
   FAE_RETURN_IF_ERROR(ValidateStaleOptions(options_));
@@ -948,8 +878,10 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
   // precompute each hot batch's traffic split once — the overlay prices
   // every hot step against it below. Pure cost model: the replicas keep
   // holding the full slice and math never changes.
+  OverlapTracker tracker(options_.pipeline, options_.pipeline_depth,
+                         &report.timeline);
+  Overlays overlays(accountant_, tracker);
   const bool sharded = options_.sharding != ShardingMode::kReplicate;
-  ShardingRig shard_rig;
   if (sharded) {
     const AccessProfile& profile = p.calibration.profile;
     if (profile.num_tables() != schema.num_tables()) {
@@ -968,21 +900,20 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
                                       /*replicate_byte_cap=*/0,
                                       schema.embedding_dim});
     FAE_RETURN_IF_ERROR(placement.status());
-    shard_rig.placement = std::move(placement).value();
-    shard_rig.accountant = &accountant_;
-    shard_rig.hot_bytes = p.hot_bytes;
-    shard_rig.replicated_bytes =
-        shard_rig.placement.ReplicatedBytes(schema.embedding_dim);
+    overlays.placement = std::move(placement).value();
+    overlays.hot_bytes = p.hot_bytes;
+    overlays.replicated_bytes =
+        overlays.placement.ReplicatedBytes(schema.embedding_dim);
     uint64_t shard_rows_total = 0;
-    for (uint64_t r : shard_rig.placement.device_rows) shard_rows_total += r;
-    shard_rig.shard_bytes_total =
+    for (uint64_t r : overlays.placement.device_rows) shard_rows_total += r;
+    overlays.shard_bytes_total =
         shard_rows_total * schema.embedding_dim * sizeof(float);
-    shard_rig.max_shard_bytes =
-        shard_rig.placement.MaxShardBytes(schema.embedding_dim);
-    report.sharding_imbalance = shard_rig.placement.Imbalance();
-    report.sharding_replicated_rows = shard_rig.placement.replicated_rows;
-    report.sharding_replicated_bytes = shard_rig.replicated_bytes;
-    report.sharding_max_shard_bytes = shard_rig.max_shard_bytes;
+    overlays.max_shard_bytes =
+        overlays.placement.MaxShardBytes(schema.embedding_dim);
+    report.sharding_imbalance = overlays.placement.Imbalance();
+    report.sharding_replicated_rows = overlays.placement.replicated_rows;
+    report.sharding_replicated_bytes = overlays.replicated_bytes;
+    report.sharding_max_shard_bytes = overlays.max_shard_bytes;
 
     // Per-batch traffic splits. Lookups count every reference; the touched
     // splits count unique rows (the sparse-optimizer payload), mirroring
@@ -991,7 +922,7 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
     std::vector<uint64_t> dev_lookups(world);
     std::vector<uint64_t> dev_touched(world);
     std::vector<uint32_t> uniq;
-    shard_rig.traffic.reserve(hot_batches.size());
+    overlays.traffic.reserve(hot_batches.size());
     for (const TrainBatch& batch : hot_batches) {
       std::fill(dev_lookups.begin(), dev_lookups.end(), 0);
       std::fill(dev_touched.begin(), dev_touched.end(), 0);
@@ -1000,10 +931,10 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
       for (size_t t = 0; t < schema.num_tables(); ++t) {
         const std::span<const uint32_t> rows = batch.view.indices(t);
         for (uint32_t row : rows) {
-          if (shard_rig.placement.IsReplicated(t, row)) {
+          if (overlays.placement.IsReplicated(t, row)) {
             ++rep_lookups;
           } else {
-            const int d = shard_rig.placement.DeviceOf(t, row);
+            const int d = overlays.placement.DeviceOf(t, row);
             ++dev_lookups[d < 0 ? 0 : d];
           }
         }
@@ -1011,10 +942,10 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
         std::sort(uniq.begin(), uniq.end());
         uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
         for (uint32_t row : uniq) {
-          if (shard_rig.placement.IsReplicated(t, row)) {
+          if (overlays.placement.IsReplicated(t, row)) {
             ++rep_touched;
           } else {
-            const int d = shard_rig.placement.DeviceOf(t, row);
+            const int d = overlays.placement.DeviceOf(t, row);
             ++dev_touched[d < 0 ? 0 : d];
           }
         }
@@ -1030,7 +961,7 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
         traffic.max_device_touched_bytes = std::max(
             traffic.max_device_touched_bytes, dev_touched[d] * row_b);
       }
-      shard_rig.traffic.push_back(traffic);
+      overlays.traffic.push_back(traffic);
     }
   }
 
@@ -1048,19 +979,13 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
   // hot set, matching what the replicas actually hold.
   const bool stale_on = options_.stale_skip != StaleSkipMode::kOff;
   StalenessTracker staleness;
-  StaleSkipRig stale_rig;
   if (stale_on) {
-    StalenessTracker::Options sopt;
-    sopt.threshold = options_.stale_threshold;
-    sopt.min_visits = static_cast<uint32_t>(options_.stale_min_visits);
-    staleness.Init(schema.table_rows, sopt);
+    staleness.Init(schema.table_rows, StaleOptions(options_));
     if (options_.stale_skip == StaleSkipMode::kCold) {
       for (size_t t = 0; t < schema.num_tables(); ++t) {
         staleness.SetAlwaysUpdate(t, p.hot_set.HotRows(t));
       }
     }
-    stale_rig.accountant = &accountant_;
-    stale_rig.overlap_lanes = options_.pipeline == PipelineMode::kOverlap;
   }
 
   // The replica stands for every GPU's copy (they stay bit-identical under
@@ -1100,8 +1025,6 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
     std::iota(stage_ids.begin(), stage_ids.end(), 0);
     hot_stage_src = options_.run_math ? &hot_translated : &packed.hot;
   }
-  OverlapTracker tracker(options_.pipeline, options_.pipeline_depth,
-                         &report.timeline);
   // Cold-chunk CPU seconds awaiting a hot chunk to hide under (kOverlap).
   double pending_cold_unhidden = 0.0;
 
@@ -1132,21 +1055,15 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
   // flush to the master before a hot chunk's pull sync, and a hot chunk's
   // push sync marks cached copies stale on the way out.
   const bool cache_on = options_.cache == CacheMode::kOracle;
-  OracleCacheRig rig;
   if (cache_on) {
-    LookaheadCache::Options copt;
-    copt.budget_rows = options_.cache_budget_rows;
-    copt.lookahead = options_.cache_lookahead;
-    copt.row_bytes = row_bytes;
-    rig.cache.Init(dataset.schema().table_rows, copt);
-    rig.accountant = &accountant_;
-    rig.overlap_lanes = options_.pipeline == PipelineMode::kOverlap;
+    overlays.cache.Init(dataset.schema().table_rows,
+                        CacheOptions(options_, row_bytes));
   }
   auto cold_cache_push = [&](size_t i) {
     const size_t begin = i * GlobalBatchSize();
     const size_t count =
         std::min(GlobalBatchSize(), packed.cold.size() - begin);
-    rig.cache.PushBatch(
+    overlays.cache.PushBatch(
         packed.cold,
         std::span<const uint64_t>(stage_ids).subspan(begin, count));
   };
@@ -1292,18 +1209,48 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
     return CheckpointIo::Save(ckpt.path, ck, *model_);
   };
 
-  // When the baseline is pipelined, every non-pipelined charge must also
-  // contribute wall time explicitly (Timeline::TotalSeconds switches to
-  // the wall accumulator as soon as any overlap is recorded).
-  auto charge_serial = [&](const std::function<void()>& charge) {
-    if (!options_.pipelined_baseline) {
-      charge();
-      return;
+  // Hot-slice syncs at the chunk boundaries. Each charges the transfer,
+  // prices its sharded variant, and counts the bytes. A sync ships the
+  // whole slice under kFull, on the first replication, and once nearly
+  // everything is dirty (hot rows are frequently touched by construction,
+  // and a wholesale copy avoids the per-row index overhead); otherwise
+  // only the dirty rows.
+  auto pull_to_gpus = [&] {
+    uint64_t bytes = master_dirty.TotalTouched() * row_bytes;
+    const bool whole =
+        !dirty_sync || !replica_initialized || bytes >= p.hot_bytes;
+    if (whole) bytes = p.hot_bytes;
+    accountant_.ChargeSyncToGpus(bytes, report.timeline);
+    if (sharded) overlays.ShardedSync(/*to_gpus=*/true, bytes);
+    report.sync_bytes += bytes;
+    if (options_.run_math) {
+      if (whole) {
+        replicator.PullFromMasters(model_->tables());
+      } else {
+        replicator.PullRowsFromMasters(model_->tables(),
+                                       master_dirty.touched());
+      }
     }
-    const double before = report.timeline.PhaseSumSeconds();
-    charge();
-    report.timeline.AddWallSeconds(report.timeline.PhaseSumSeconds() -
-                                   before);
+    master_dirty.Clear();
+    replica_initialized = true;
+  };
+  // Leaving a hot chunk: the masters absorb the GPU updates.
+  auto push_to_cpu = [&] {
+    uint64_t bytes = replica_dirty.TotalTouched() * row_bytes;
+    const bool whole = !dirty_sync || bytes >= p.hot_bytes;
+    if (whole) bytes = p.hot_bytes;
+    accountant_.ChargeSyncToCpu(bytes, report.timeline);
+    if (sharded) overlays.ShardedSync(/*to_gpus=*/false, bytes);
+    report.sync_bytes += bytes;
+    if (options_.run_math) {
+      if (whole) {
+        replicator.PushToMasters(model_->tables());
+      } else {
+        replicator.PushRowsToMasters(model_->tables(),
+                                     replica_dirty.touched());
+      }
+    }
+    replica_dirty.Clear();
   };
 
   // Recovery from a corrupted hot-slice sync: every replica is garbage, so
@@ -1323,9 +1270,6 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
     const double seconds = scratch.PhaseSumSeconds();
     report.timeline.Charge(Phase::kFaultRecovery, seconds);
     report.timeline.AddPcieBytes(p.hot_bytes);
-    if (options_.pipelined_baseline) {
-      report.timeline.AddWallSeconds(seconds);
-    }
     report.sync_bytes += p.hot_bytes;
     // Replicas now mirror the masters exactly.
     master_dirty.Clear();
@@ -1334,20 +1278,11 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
   };
 
   auto finalize = [&] {
-    if (cache_on) {
-      rig.ChargeWriteback(rig.cache.FlushAllDirty(), report.timeline);
-    }
-    if (stale_on) {
-      Timeline::StaleSkipCounters& sc =
-          report.timeline.stale_skip_counters();
-      sc.reactivated_rows += staleness.total_reactivated_rows();
-      sc.guard_tightens += staleness.guard_tightens();
-      sc.guard_widens += staleness.guard_widens();
-      report.stale_final_threshold = staleness.threshold();
-    }
+    if (cache_on) overlays.CacheWriteback(overlays.cache.FlushAllDirty());
     report.transitions = scheduler.transitions();
     report.final_rate = scheduler.rate();
-    FinishReport(report, eval_set.views, metric);
+    FinishReport(report, eval_set.views, metric,
+                 stale_on ? &staleness : nullptr);
   };
 
   for (size_t epoch = start_epoch; epoch < options_.epochs; ++epoch) {
@@ -1369,64 +1304,20 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
         }
         prefetcher->Begin(std::move(specs));
       }
-      tracker.BeginSegment();
-      rig.chunk_saved = 0.0;
-      shard_rig.chunk_saved = 0.0;
-      stale_rig.chunk_saved = 0.0;
       // The chunk window spans everything charged for this chunk —
       // including the hot-slice syncs — so kOverlap can pair a cold
       // chunk's CPU time against the next hot chunk's GPU+DMA time.
-      if (tracker.mode() == PipelineMode::kOverlap) tracker.MarkChunkStart();
+      tracker.BeginSegment();
       if (chunk->hot) {
         // Cold->hot boundary: dirty cached hot rows reach the master
         // *before* the replicas pull, so the pull sees every cold-chunk
         // update — the same coherence order the dirty-sync path enforces.
         if (cache_on) {
-          rig.ChargeWriteback(rig.cache.FlushDirty(p.hot_set),
-                              report.timeline);
+          overlays.CacheWriteback(overlays.cache.FlushDirty(p.hot_set));
         }
         // Hot phase: replicas pull the latest rows (cold batches may have
-        // updated hot entries on the CPU master). The very first hot
-        // phase replicates the whole slice regardless of strategy.
-        if (!dirty_sync || !replica_initialized) {
-          charge_serial([&] {
-            accountant_.ChargeSyncToGpus(p.hot_bytes, report.timeline);
-          });
-          if (sharded) {
-            shard_rig.PriceSyncToGpus(p.hot_bytes, report.timeline);
-          }
-          report.sync_bytes += p.hot_bytes;
-          if (options_.run_math) replicator.PullFromMasters(model_->tables());
-          if (dirty_sync) master_dirty.Clear();
-          replica_initialized = true;
-        } else {
-          uint64_t bytes = master_dirty.TotalTouched() * row_bytes;
-          if (bytes >= p.hot_bytes) {
-            // Nearly everything is dirty (hot rows are frequently touched
-            // by construction): a wholesale copy avoids the per-row index
-            // overhead.
-            bytes = p.hot_bytes;
-            charge_serial([&] {
-              accountant_.ChargeSyncToGpus(bytes, report.timeline);
-            });
-            if (sharded) shard_rig.PriceSyncToGpus(bytes, report.timeline);
-            report.sync_bytes += bytes;
-            if (options_.run_math) {
-              replicator.PullFromMasters(model_->tables());
-            }
-          } else {
-            charge_serial([&] {
-              accountant_.ChargeSyncToGpus(bytes, report.timeline);
-            });
-            if (sharded) shard_rig.PriceSyncToGpus(bytes, report.timeline);
-            report.sync_bytes += bytes;
-            if (options_.run_math) {
-              replicator.PullRowsFromMasters(model_->tables(),
-                                             master_dirty.touched());
-            }
-          }
-          master_dirty.Clear();
-        }
+        // updated hot entries on the CPU master).
+        pull_to_gpus();
         for (size_t i = chunk->begin; i < chunk->begin + chunk->count; ++i) {
           FAE_ASSIGN_OR_RETURN(
               const bool crashed,
@@ -1441,21 +1332,15 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
             const BatchView& staged = prefetcher->Acquire();
             if (options_.run_math) math_view = &staged;
           }
-          double prep = 0.0;
-          charge_serial([&] {
-            prep = accountant_.ChargeInputPrep(
-                BatchInputBytes(hot_batches[i].view), report.timeline);
-          });
+          const double prep = accountant_.ChargeInputPrep(
+              BatchInputBytes(hot_batches[i].view), report.timeline);
           const double before = report.timeline.PhaseSumSeconds();
-          charge_serial([&] {
-            accountant_.ChargeHotStep(hot_batches[i].work, report.timeline);
-          });
+          accountant_.ChargeHotStep(hot_batches[i].work, report.timeline);
           const double step_seconds =
               report.timeline.PhaseSumSeconds() - before;
           tracker.OnStep(prep, step_seconds, step_seconds);
           if (sharded) {
-            shard_rig.PriceHotStep(hot_batches[i].work, i, step_seconds,
-                                   report.timeline);
+            overlays.ShardedHotStep(hot_batches[i].work, i, step_seconds);
           }
           if (options_.run_math) {
             exec_.MathStep(*math_view, replica_tables, metric, window);
@@ -1470,47 +1355,13 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
           ++iteration;
           ++report.num_batches;
         }
-        // Leaving the hot phase: masters absorb the GPU updates.
-        if (!dirty_sync) {
-          charge_serial([&] {
-            accountant_.ChargeSyncToCpu(p.hot_bytes, report.timeline);
-          });
-          if (sharded) {
-            shard_rig.PriceSyncToCpu(p.hot_bytes, report.timeline);
-          }
-          report.sync_bytes += p.hot_bytes;
-          if (options_.run_math) replicator.PushToMasters(model_->tables());
-        } else {
-          uint64_t bytes = replica_dirty.TotalTouched() * row_bytes;
-          if (bytes >= p.hot_bytes) {
-            bytes = p.hot_bytes;
-            charge_serial([&] {
-              accountant_.ChargeSyncToCpu(bytes, report.timeline);
-            });
-            if (sharded) shard_rig.PriceSyncToCpu(bytes, report.timeline);
-            report.sync_bytes += bytes;
-            if (options_.run_math) {
-              replicator.PushToMasters(model_->tables());
-            }
-          } else {
-            charge_serial([&] {
-              accountant_.ChargeSyncToCpu(bytes, report.timeline);
-            });
-            if (sharded) shard_rig.PriceSyncToCpu(bytes, report.timeline);
-            report.sync_bytes += bytes;
-            if (options_.run_math) {
-              replicator.PushRowsToMasters(model_->tables(),
-                                           replica_dirty.touched());
-            }
-          }
-          replica_dirty.Clear();
-        }
+        push_to_cpu();
         // Hot->cold boundary: the push-to-masters just made every cached
         // copy of a hot row stale; the next cold reference refetches it.
-        if (cache_on) rig.cache.InvalidateHot(p.hot_set);
+        if (cache_on) overlays.cache.InvalidateHot(p.hot_set);
       } else {
         if (cache_on) {
-          rig.cache.BeginSegment();
+          overlays.cache.BeginSegment();
           const size_t ahead = std::min<size_t>(
               chunk->begin + chunk->count,
               chunk->begin + options_.cache_lookahead);
@@ -1531,32 +1382,21 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
           }
           const double prep = accountant_.ChargeInputPrep(
               BatchInputBytes(cold_batches[i].view), report.timeline);
-          StepAccountant::BaselineParts parts{};
-          if (options_.pipelined_baseline) {
-            report.timeline.AddWallSeconds(prep);
-            accountant_.ChargeBaselineStepPipelined(cold_work(i),
-                                                    report.timeline);
-          } else {
-            parts = accountant_.ChargeBaselineStepParts(cold_work(i),
-                                                        report.timeline);
-            tracker.OnStep(prep, parts.Total(), parts.Overlapped());
-            if (cache_on) {
-              const LookaheadCache::StepCharge sc = rig.cache.OnStep();
-              rig.PriceStep(cold_batches[i].work, parts, sc,
-                            report.timeline);
-              const size_t ahead = i + options_.cache_lookahead;
-              if (ahead < chunk->begin + chunk->count) cold_cache_push(ahead);
-            }
+          const StepAccountant::BaselineParts parts =
+              accountant_.ChargeBaselineStep(cold_work(i), report.timeline);
+          tracker.OnStep(prep, parts.Total(), parts.Overlapped());
+          if (cache_on) {
+            overlays.CacheStep(cold_work(i), parts);
+            const size_t ahead = i + options_.cache_lookahead;
+            if (ahead < chunk->begin + chunk->count) cold_cache_push(ahead);
           }
           if (options_.run_math) {
             exec_.MathStep(*math_view, master_tables, metric, window,
                            stale_on ? &staleness : nullptr);
             // After the math: the tracker counted this step's skip/update
-            // split (stale_on implies !pipelined_baseline, so `parts`
-            // carries the plain charges to price against).
+            // split.
             if (stale_on) {
-              stale_rig.PriceStep(cold_work(i), parts, staleness,
-                                  report.timeline);
+              overlays.StaleSkipStep(cold_work(i), parts, staleness);
             }
           }
           if (pipelined) prefetcher->Release();
@@ -1589,22 +1429,16 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
         // CPU seconds, and the next hot chunk hides them under its own
         // unhidden GPU+DMA span (capped by the shorter of the two) — the
         // overlapped hot/cold schedule the pipelined trainer models.
-        const double unhidden = tracker.ChunkUnhiddenSeconds();
+        // Seconds an overlay already removed from a chunk are outside
+        // its unhidden span, so no second is credited twice.
+        const double unhidden =
+            std::max(0.0, tracker.ChunkUnhiddenSeconds());
         if (chunk->hot) {
-          // Mirror of the cold-side cache guard below: seconds the sharded
-          // placement already removed from this hot chunk cannot also hide
-          // banked cold seconds.
-          const double hid = std::min(
-              pending_cold_unhidden,
-              std::max(0.0, unhidden - shard_rig.chunk_saved));
-          if (hid > 0.0) report.timeline.AddOverlapSavedSeconds(hid);
+          const double hid = std::min(pending_cold_unhidden, unhidden);
+          if (hid > 0.0) report.timeline.AddCredit(Credit::kOverlap, hid);
           pending_cold_unhidden = 0.0;
         } else {
-          // Seconds the cache or the stale-skip overlay already removed
-          // from this chunk no longer exist to hide under the next hot
-          // chunk — banking them too would credit the same time twice.
-          pending_cold_unhidden = std::max(
-              0.0, unhidden - rig.chunk_saved - stale_rig.chunk_saved);
+          pending_cold_unhidden = unhidden;
         }
       }
       if (options_.run_math) {

@@ -63,10 +63,6 @@ struct TrainOptions {
   size_t evals_per_epoch = 10;
   /// Hot-slice coherence scheme (FAE only).
   SyncStrategy sync_strategy = SyncStrategy::kFull;
-  /// Model the hybrid baseline with CPU/GPU overlap (prefetching): the
-  /// strongest baseline variant. Applies to TrainBaseline and to FAE's
-  /// cold batches, so comparisons stay apples-to-apples.
-  bool pipelined_baseline = false;
   /// Emulate fp16 embedding *storage* (the NvOPT representation): after
   /// every sparse update, touched rows are rounded through binary16, so
   /// the tables never hold more precision than fp16 would. Gradients and
@@ -95,7 +91,6 @@ struct TrainOptions {
   /// Pipelined execution (see PipelineMode). Like num_threads, excluded
   /// from OptionsFingerprint: results, phase charges, and checkpoint bytes
   /// are identical in every mode, so a resume may switch modes freely.
-  /// Mutually exclusive with the legacy pipelined_baseline cost model.
   PipelineMode pipeline = PipelineMode::kOff;
   /// Staging-ring depth for kPrefetch/kOverlap (>= 1). Depth 1 keeps the
   /// background producer but allows no lookahead (no prep is hidden);
@@ -326,9 +321,12 @@ class Trainer {
   /// keeps only the sequencing, cost accounting, and robustness logic.
   using EvalSet = StepExecutor::EvalSet;
   using TrainBatch = StepExecutor::TrainBatch;
+  /// Fills the report's derived fields from its timeline; `staleness`
+  /// (when stale-skip ran) contributes the accuracy guard's counters.
   void FinishReport(TrainReport& report,
                     const std::vector<BatchView>& eval_batches,
-                    RunningMetric& metric) const;
+                    RunningMetric& metric,
+                    const StalenessTracker* staleness = nullptr) const;
 
   RecModel* model_;
   SystemSpec system_;

@@ -483,7 +483,7 @@ StatusOr<ServeReport> ServingLoop::Serve(const Dataset& dataset,
   }
   report.p50_latency_ns = report.latency_ns.ApproximateQuantile(0.50);
   report.p99_latency_ns = report.latency_ns.ApproximateQuantile(0.99);
-  report.modeled_seconds = tl.TotalSeconds();
+  report.modeled_seconds = tl.PhaseSumSeconds();
   report.faults = *stats;
   if (options_.continuous_training) {
     report.train_loss = metric.mean_loss();

@@ -42,32 +42,32 @@ double Timeline::PhaseSumSeconds() const {
   return total;
 }
 
-double Timeline::TotalSeconds() const {
-  return wall_seconds_ > 0.0 ? wall_seconds_ : PhaseSumSeconds();
+double Timeline::CreditSum() const {
+  double sum = 0.0;
+  for (double c : credits_) sum += c;
+  return sum;
 }
 
 double Timeline::OverlappedTotalSeconds() const {
-  const double total = TotalSeconds();
-  const double saved =
-      overlap_saved_ + cache_saved_ + sharding_saved_ + stale_skip_saved_;
+  const double total = PhaseSumSeconds();
+  const double saved = CreditSum();
   return saved < total ? total - saved : 0.0;
 }
 
 double Timeline::OverlapFraction() const {
-  const double total = TotalSeconds();
-  if (total <= 0.0 || overlap_saved_ <= 0.0) return 0.0;
-  return overlap_saved_ >= total ? 1.0 : overlap_saved_ / total;
+  const double total = PhaseSumSeconds();
+  const double hid = credit(Credit::kOverlap);
+  if (total <= 0.0 || hid <= 0.0) return 0.0;
+  return hid >= total ? 1.0 : hid / total;
 }
 
 void Timeline::Merge(const Timeline& other) {
   for (size_t i = 0; i < seconds_.size(); ++i) {
     seconds_[i] += other.seconds_[i];
   }
-  wall_seconds_ += other.wall_seconds_;
-  overlap_saved_ += other.overlap_saved_;
-  cache_saved_ += other.cache_saved_;
-  sharding_saved_ += other.sharding_saved_;
-  stale_skip_saved_ += other.stale_skip_saved_;
+  for (size_t i = 0; i < credits_.size(); ++i) {
+    credits_[i] += other.credits_[i];
+  }
   stale_skip_counters_.skipped_rows += other.stale_skip_counters_.skipped_rows;
   stale_skip_counters_.updated_rows += other.stale_skip_counters_.updated_rows;
   stale_skip_counters_.reactivated_rows +=
@@ -92,7 +92,7 @@ void Timeline::Merge(const Timeline& other) {
 }
 
 std::string Timeline::Report() const {
-  const double total = TotalSeconds();
+  const double total = PhaseSumSeconds();
   std::string out = StrFormat("total %s\n", HumanSeconds(total).c_str());
   for (int i = 0; i < static_cast<int>(Phase::kNumPhases); ++i) {
     if (seconds_[i] == 0.0) continue;
@@ -101,9 +101,10 @@ std::string Timeline::Report() const {
                      HumanSeconds(seconds_[i]).c_str(),
                      total > 0 ? 100.0 * seconds_[i] / total : 0.0);
   }
-  if (overlap_saved_ > 0.0) {
+  const double overlap = credit(Credit::kOverlap);
+  if (overlap > 0.0) {
     out += StrFormat("  overlap hid %s (%.1f%%): pipelined wall %s\n",
-                     HumanSeconds(overlap_saved_).c_str(),
+                     HumanSeconds(overlap).c_str(),
                      100.0 * OverlapFraction(),
                      HumanSeconds(OverlappedTotalSeconds()).c_str());
   }
@@ -114,15 +115,15 @@ std::string Timeline::Report() const {
         "  lookahead cache: %.1f%% hit, saved %s, prefetch %s, "
         "writeback %s\n",
         100.0 * static_cast<double>(cache_counters_.hits) / looks,
-        HumanSeconds(cache_saved_).c_str(),
+        HumanSeconds(credit(Credit::kCache)).c_str(),
         HumanBytes(cache_counters_.prefetch_bytes).c_str(),
         HumanBytes(cache_counters_.writeback_bytes).c_str());
   }
-  if (sharding_saved_ != 0.0) {
+  const double sharding = credit(Credit::kSharding);
+  if (sharding != 0.0) {
     out += StrFormat("  sharded placement %s %s vs replicate\n",
-                     sharding_saved_ > 0.0 ? "saved" : "cost",
-                     HumanSeconds(sharding_saved_ > 0.0 ? sharding_saved_
-                                                        : -sharding_saved_)
+                     sharding > 0.0 ? "saved" : "cost",
+                     HumanSeconds(sharding > 0.0 ? sharding : -sharding)
                          .c_str());
   }
   if (stale_skip_counters_.skipped_rows + stale_skip_counters_.updated_rows >
@@ -135,7 +136,7 @@ std::string Timeline::Report() const {
         "reactivated %llu\n",
         100.0 * static_cast<double>(stale_skip_counters_.skipped_rows) /
             touched,
-        HumanSeconds(stale_skip_saved_).c_str(),
+        HumanSeconds(credit(Credit::kStaleSkip)).c_str(),
         static_cast<unsigned long long>(stale_skip_counters_.reactivated_rows));
   }
   out += StrFormat("  pcie %s, nvlink %s, network %s\n",

@@ -27,6 +27,19 @@ enum class Phase : int {
 
 std::string_view PhaseName(Phase phase);
 
+/// Cost overlays that credit modeled seconds back against the phase
+/// charges. Every overlay keeps the real phase charges untouched and
+/// records what it saves (or, signed negative, costs) here, so the
+/// per-phase breakdown and the checkpointed State stay identical with any
+/// overlay on or off. Credits are summed in enum order.
+enum class Credit : int {
+  kOverlap = 0,  // pipelined overlap (--pipeline; DESIGN.md §11)
+  kCache,        // lookahead oracle cache (--cache; §13)
+  kSharding,     // sharded hot-slice placement (--sharding; §15)
+  kStaleSkip,    // stale-update skipping (--stale-skip; §16)
+  kNumCredits,
+};
+
 /// Accumulates modeled seconds per phase plus per-device busy time and
 /// link traffic, from which wall time, breakdowns (Fig 14), communication
 /// tables (Table V) and power (Table VI) are derived.
@@ -35,16 +48,14 @@ class Timeline {
   /// Accumulator snapshot for checkpoint/resume: restoring it reproduces
   /// the phase/traffic/busy-time accumulators of an uninterrupted run.
   ///
-  /// Deliberately excludes the overlap accumulator (AddOverlapSavedSeconds):
-  /// phase charges are identical across all --pipeline modes, so checkpoints
-  /// written by a serial and a pipelined run are byte-identical — the
-  /// pipeline determinism contract (DESIGN.md §11). The cost: a resumed
-  /// pipelined run's overlap wall stats restart from zero, so it reports
-  /// less overlap_saved_seconds (hence higher modeled wall / lower
-  /// OverlapFraction) than the same run uninterrupted.
+  /// Deliberately excludes the credit ledger (AddCredit) and the overlay
+  /// counters: phase charges are identical with every overlay on or off,
+  /// so checkpoints are byte-identical across --pipeline, --cache,
+  /// --sharding and --stale-skip modes and a resume may switch them
+  /// (DESIGN.md §11). The cost: a resumed run's credits restart from zero,
+  /// so it reports a higher modeled wall than the same run uninterrupted.
   struct State {
     std::array<double, static_cast<int>(Phase::kNumPhases)> seconds{};
-    double wall_seconds = 0.0;
     double cpu_busy = 0.0;
     double gpu_busy = 0.0;
     uint64_t pcie_bytes = 0;
@@ -53,13 +64,11 @@ class Timeline {
   };
 
   State state() const {
-    return State{seconds_,    wall_seconds_, cpu_busy_,
-                 gpu_busy_,   pcie_bytes_,   nvlink_bytes_,
-                 network_bytes_};
+    return State{seconds_,     cpu_busy_,     gpu_busy_,
+                 pcie_bytes_,  nvlink_bytes_, network_bytes_};
   }
   void set_state(const State& state) {
     seconds_ = state.seconds;
-    wall_seconds_ = state.wall_seconds;
     cpu_busy_ = state.cpu_busy;
     gpu_busy_ = state.gpu_busy;
     pcie_bytes_ = state.pcie_bytes;
@@ -89,28 +98,21 @@ class Timeline {
     return seconds_[static_cast<int>(phase)];
   }
 
-  /// Records explicit wall-clock time for overlapped execution models
-  /// (pipelined baselines), where the wall is shorter than the phase sum
-  /// because CPU and GPU phases run concurrently.
-  void AddWallSeconds(double seconds) { wall_seconds_ += seconds; }
+  /// The credit ledger: modeled seconds an overlay removed from the wall.
+  /// Signed — whole-table LPT sharding typically *loses* to replication,
+  /// cache boundary writebacks cost DMA the plain run never pays — and the
+  /// net is honest, not clamped per event.
+  void AddCredit(Credit credit, double seconds) {
+    credits_[static_cast<int>(credit)] += seconds;
+  }
+  double credit(Credit credit) const {
+    return credits_[static_cast<int>(credit)];
+  }
+  /// Sum of every credit, in enum order.
+  double CreditSum() const;
 
-  /// Overlap accounting for the pipelined trainer (--pipeline): records
-  /// modeled seconds *hidden* by overlapping work on disjoint resources
-  /// (batch prefetch under compute, cold-CPU phases under hot-GPU phases,
-  /// DMA syncs under compute). Phase charges always record the full device
-  /// work; the saving is tracked separately so it can be subtracted from
-  /// the wall without perturbing the per-phase breakdown — and so the
-  /// checkpointed State stays identical across pipeline modes.
-  void AddOverlapSavedSeconds(double seconds) { overlap_saved_ += seconds; }
-  double overlap_saved_seconds() const { return overlap_saved_; }
-
-  /// Lookahead-oracle cache accounting (engine/lookahead_cache.h). Like the
-  /// overlap accumulator, all of it lives *outside* State: phase charges
-  /// are identical cache-on and cache-off, and the cache's effect on the
-  /// modeled wall is a separately-tracked credit — so checkpoints stay
-  /// byte-identical across cache modes and a resume may switch them.
-  /// The saving may go negative per event (boundary writebacks, an
-  /// undersized budget): the net is honest, not clamped per step.
+  /// Lookahead-oracle cache counters (engine/lookahead_cache.h); outside
+  /// State like the ledger.
   struct CacheCounters {
     uint64_t hits = 0;             // lookups served from the GPU cache
     uint64_t misses = 0;           // lookups on the CPU fallback path
@@ -124,32 +126,11 @@ class Timeline {
     uint64_t plain_transfer_bytes = 0;
     uint64_t effective_transfer_bytes = 0;
   };
-  void AddCacheSavedSeconds(double seconds) { cache_saved_ += seconds; }
-  double cache_saved_seconds() const { return cache_saved_; }
   CacheCounters& cache_counters() { return cache_counters_; }
   const CacheCounters& cache_counters() const { return cache_counters_; }
 
-  /// Sharded-placement accounting (--sharding=lpt|statistical): the real
-  /// timeline always carries the replicate-mode charges; the trainer
-  /// prices the sharded variant of each hot step and sync into a scratch
-  /// timeline and records the difference here. Outside State like the
-  /// overlap and cache accumulators, so checkpoints stay byte-identical
-  /// across sharding modes and a resume may switch them. Negative totals
-  /// are expected — whole-table LPT typically *loses* to replication (the
-  /// all-to-all it adds dwarfs the sync it saves) and that loss must show
-  /// in the modeled wall.
-  void AddShardingSavedSeconds(double seconds) { sharding_saved_ += seconds; }
-  double sharding_saved_seconds() const { return sharding_saved_; }
-
-  /// Stale-skip accounting (--stale-skip=cold|all): per-row optimizer
-  /// updates skipped for rows whose update-magnitude EMA fell below the
-  /// guard threshold (engine/staleness_tracker.h). The real timeline
-  /// always carries the full backward+step charges; the trainer prices
-  /// the skipped variant of each CPU step into a scratch timeline and
-  /// records the difference here. Outside State like the other overlay
-  /// accumulators, so checkpoints stay byte-identical across stale-skip
-  /// modes and a resume may switch them — and so a second saved by the
-  /// pipeline overlap is never hidden twice.
+  /// Stale-skip counters (engine/staleness_tracker.h); outside State like
+  /// the ledger.
   struct StaleSkipCounters {
     uint64_t skipped_rows = 0;      // row-updates elided this run
     uint64_t updated_rows = 0;      // row-updates applied this run
@@ -157,27 +138,20 @@ class Timeline {
     uint64_t guard_tightens = 0;    // guard halved the threshold (loss rose)
     uint64_t guard_widens = 0;      // guard doubled it (steady improvement)
   };
-  void AddStaleSkipSavedSeconds(double seconds) { stale_skip_saved_ += seconds; }
-  double stale_skip_saved_seconds() const { return stale_skip_saved_; }
   StaleSkipCounters& stale_skip_counters() { return stale_skip_counters_; }
   const StaleSkipCounters& stale_skip_counters() const {
     return stale_skip_counters_;
   }
 
-  /// TotalSeconds() minus the overlap, cache, sharding, and stale-skip
-  /// savings: the modeled wall-clock of the pipelined execution. Equals
-  /// TotalSeconds() when nothing overlapped and no overlay feature ran.
+  /// PhaseSumSeconds() minus every credit: the modeled wall-clock with the
+  /// overlays applied. Equals PhaseSumSeconds() when no overlay ran.
   double OverlappedTotalSeconds() const;
 
   /// Fraction of the serial wall-clock hidden by overlap, in [0, 1).
   double OverlapFraction() const;
 
-  /// Modeled wall-clock: the explicit wall time when any was recorded
-  /// (overlapped execution), otherwise the sum of all phases (the default
-  /// synchronous pipeline).
-  double TotalSeconds() const;
-
-  /// Sum of per-phase seconds regardless of overlap (total device work).
+  /// Sum of per-phase seconds: the modeled wall-clock of the synchronous
+  /// pipeline (total device work).
   double PhaseSumSeconds() const;
 
   double cpu_busy_seconds() const { return cpu_busy_; }
@@ -193,15 +167,8 @@ class Timeline {
 
  private:
   std::array<double, static_cast<int>(Phase::kNumPhases)> seconds_{};
-  double wall_seconds_ = 0.0;
   /// Not part of State — see the State doc comment.
-  double overlap_saved_ = 0.0;
-  /// Not part of State either — see the CacheCounters doc comment.
-  double cache_saved_ = 0.0;
-  /// Not part of State either — see AddShardingSavedSeconds.
-  double sharding_saved_ = 0.0;
-  /// Not part of State either — see AddStaleSkipSavedSeconds.
-  double stale_skip_saved_ = 0.0;
+  std::array<double, static_cast<int>(Credit::kNumCredits)> credits_{};
   CacheCounters cache_counters_;
   StaleSkipCounters stale_skip_counters_;
   double cpu_busy_ = 0.0;

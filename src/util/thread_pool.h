@@ -38,11 +38,11 @@ class ThreadPool {
 
   /// Splits [0, n) into roughly equal contiguous chunks, runs
   /// `fn(begin, end)` for each chunk, and waits for *this call's* chunks
-  /// only — concurrent ParallelFor calls (e.g. trainer kernels and a
-  /// BatchLoader producer) track completion independently and never block
-  /// on each other's tasks. The calling thread executes the first chunk
-  /// inline, so a single-thread pool degenerates to a plain loop and the
-  /// caller can never deadlock waiting on a fully busy pool.
+  /// only — concurrent ParallelFor calls from different threads track
+  /// completion independently and never block on each other's tasks. The
+  /// calling thread executes the first chunk inline, so a single-thread
+  /// pool degenerates to a plain loop and the caller can never deadlock
+  /// waiting on a fully busy pool.
   ///
   /// Exception safety: if any chunk throws, the first exception is
   /// captured and rethrown on the calling thread after every chunk of this

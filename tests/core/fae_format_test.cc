@@ -8,13 +8,10 @@
 #include "core/fae_pipeline.h"
 #include "data/synthetic.h"
 #include "util/file_io.h"
+#include "test_util.h"
 
 namespace fae {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 struct Fixture {
   Fixture()

@@ -9,13 +9,10 @@
 
 #include "util/file_io.h"
 #include "util/random.h"
+#include "test_util.h"
 
 namespace fae {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 constexpr uint64_t kHotThreshold = 2;
 

@@ -8,13 +8,10 @@
 
 #include "data/synthetic.h"
 #include "util/file_io.h"
+#include "test_util.h"
 
 namespace fae {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 Dataset MakeData(WorkloadKind kind = WorkloadKind::kKaggleDlrm,
                  size_t n = 300) {

@@ -16,13 +16,10 @@
 #include "models/model_io.h"
 #include "tensor/kernels.h"
 #include "util/random.h"
+#include "test_util.h"
 
 namespace fae {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 // Every-4th-row-hot mask, the shape used throughout these tests.
 std::vector<uint8_t> QuarterHotMask(uint64_t rows) {

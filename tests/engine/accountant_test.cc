@@ -68,7 +68,7 @@ TEST_F(AccountantTest, HotStepFasterThanBaseline) {
   Timeline hot;
   accountant_.ChargeBaselineStep(MakeWork(), base);
   accountant_.ChargeHotStep(MakeWork(), hot);
-  EXPECT_LT(hot.TotalSeconds(), base.TotalSeconds());
+  EXPECT_LT(hot.PhaseSumSeconds(), base.PhaseSumSeconds());
 }
 
 TEST_F(AccountantTest, HotAllReduceCoversEmbeddingGradients) {
@@ -126,7 +126,7 @@ TEST_F(AccountantTest, CacheMoreMissesCostsMore) {
   accountant_.ChargeCacheStep(w, w.embedding_read_bytes / 2,
                               w.embedding_read_bytes / 2,
                               w.touched_bytes / 2, many);
-  EXPECT_GT(many.TotalSeconds(), few.TotalSeconds());
+  EXPECT_GT(many.PhaseSumSeconds(), few.PhaseSumSeconds());
 }
 
 TEST_F(AccountantTest, ModelParallelUsesNvlinkOnly) {
@@ -172,30 +172,30 @@ TEST_F(AccountantTest, MoreGpusShrinkGpuPhases) {
             one.seconds(Phase::kEmbeddingForward));
 }
 
+// --pipeline=overlap's per-step wall, BaselineParts::Overlapped().
 TEST_F(AccountantTest, PipelinedBaselineShortensWall) {
-  BatchWork w = MakeWork();
-  Timeline serial;
-  Timeline piped;
-  accountant_.ChargeBaselineStep(w, serial);
-  accountant_.ChargeBaselineStepPipelined(w, piped);
-  // Identical device work and traffic...
-  EXPECT_DOUBLE_EQ(piped.PhaseSumSeconds(), serial.PhaseSumSeconds());
-  EXPECT_EQ(piped.pcie_bytes(), serial.pcie_bytes());
-  EXPECT_DOUBLE_EQ(piped.cpu_busy_seconds(), serial.cpu_busy_seconds());
-  // ...but a shorter wall: overlap hides the smaller device path.
-  EXPECT_LT(piped.TotalSeconds(), serial.TotalSeconds());
-  // The wall can never drop below either device path or the serial part.
-  EXPECT_GE(piped.TotalSeconds(), piped.cpu_busy_seconds());
-  EXPECT_GE(piped.TotalSeconds(), piped.gpu_busy_seconds());
+  Timeline tl;
+  const StepAccountant::BaselineParts parts =
+      accountant_.ChargeBaselineStep(MakeWork(), tl);
+  // The lanes split the charged device work exactly...
+  EXPECT_DOUBLE_EQ(parts.Total(), tl.PhaseSumSeconds());
+  EXPECT_DOUBLE_EQ(parts.cpu, tl.cpu_busy_seconds());
+  EXPECT_DOUBLE_EQ(parts.gpu, tl.gpu_busy_seconds());
+  // ...and overlapping them hides the smaller device path.
+  EXPECT_LT(parts.Overlapped(), parts.Total());
+  // The wall can never drop below either device path.
+  EXPECT_GE(parts.Overlapped(), tl.cpu_busy_seconds());
+  EXPECT_GE(parts.Overlapped(), tl.gpu_busy_seconds());
 }
 
 TEST_F(AccountantTest, PipelinedWallAtLeastSerialSegments) {
-  BatchWork w = MakeWork();
-  Timeline piped;
-  accountant_.ChargeBaselineStepPipelined(w, piped);
-  const double serial_segments = piped.seconds(Phase::kCpuGpuTransfer) +
-                                 piped.seconds(Phase::kAllReduce);
-  EXPECT_GE(piped.TotalSeconds(), serial_segments);
+  Timeline tl;
+  const StepAccountant::BaselineParts parts =
+      accountant_.ChargeBaselineStep(MakeWork(), tl);
+  const double serial_segments = tl.seconds(Phase::kCpuGpuTransfer) +
+                                 tl.seconds(Phase::kAllReduce);
+  EXPECT_DOUBLE_EQ(parts.serial, serial_segments);
+  EXPECT_GE(parts.Overlapped(), serial_segments);
 }
 
 TEST_F(AccountantTest, SmallBatchesUnderutilizeGpus) {

@@ -9,13 +9,10 @@
 #include "engine/trainer.h"
 #include "models/factory.h"
 #include "util/file_io.h"
+#include "test_util.h"
 
 namespace fae {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 struct Fixture {
   Fixture()

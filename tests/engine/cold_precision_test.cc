@@ -13,13 +13,10 @@
 #include "data/synthetic.h"
 #include "engine/trainer.h"
 #include "models/factory.h"
+#include "test_util.h"
 
 namespace fae {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 struct Fixture {
   Fixture()
@@ -235,6 +232,8 @@ TEST(ColdPrecisionTest, ResumePrecisionDirections) {
   std::filesystem::remove(path);
 }
 
+// The cache and baseline combinations are swept in
+// composition_matrix_test.cc; these are the knob's own demands.
 TEST(ColdPrecisionTest, RejectsIllegalCombinations) {
   Fixture f;
   const FaeConfig cfg = Fixture::Config(ColdPrecision::kInt8);
@@ -254,30 +253,11 @@ TEST(ColdPrecisionTest, RejectsIllegalCombinations) {
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }
   {
-    // The oracle cache's budget accounting assumes fp32 cold rows.
-    TrainOptions opt = Fixture::Options(ColdPrecision::kInt8);
-    opt.cache = CacheMode::kOracle;
-    auto model = f.NewModel(5);
-    Trainer t(model.get(), MakePaperServer(1), opt);
-    auto r = t.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  }
-  {
     // The options and the plan's config must agree on the precision.
     TrainOptions opt = Fixture::Options(ColdPrecision::kFp16);
     auto model = f.NewModel(5);
     Trainer t(model.get(), MakePaperServer(1), opt);
     auto r = t.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  }
-  {
-    // Baseline has no hot/cold partition to quantize.
-    TrainOptions opt = Fixture::Options(ColdPrecision::kInt8);
-    auto model = f.NewModel(5);
-    Trainer t(model.get(), MakePaperServer(1), opt);
-    auto r = t.TrainBaselineResumable(f.dataset, f.split);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }

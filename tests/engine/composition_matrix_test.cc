@@ -1,0 +1,208 @@
+// Every pair of training modes either composes or is refused with a
+// reason. One table-driven sweep over pipeline × cache × cold precision ×
+// sharding × stale skip, for the baseline and the FAE driver:
+//   - a legal combination leaves the loss curve and
+//     Timeline::PhaseSumSeconds bit-identical to the all-off run: the
+//     pipeline, the cache, sharding and stale skip at threshold 0 only
+//     move the credit ledger (DESIGN.md §11, §13, §15, §16). Cold
+//     precision is the one storage knob — quantized cold rows change the
+//     math — so quantized cells compare against the all-off run at the
+//     same precision;
+//   - a refused combination returns InvalidArgument with a message that
+//     names both conflicting flags.
+
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "core/fae_pipeline.h"
+#include "data/synthetic.h"
+#include "engine/trainer.h"
+#include "models/factory.h"
+
+namespace fae {
+namespace {
+
+struct Cell {
+  PipelineMode pipeline = PipelineMode::kOff;
+  CacheMode cache = CacheMode::kOff;
+  ColdPrecision cold = ColdPrecision::kFp32;
+  ShardingMode sharding = ShardingMode::kReplicate;
+  StaleSkipMode stale = StaleSkipMode::kOff;
+
+  std::string Label(bool fae) const {
+    return std::string(fae ? "fae" : "baseline") +
+           " pipeline=" + std::string(PipelineModeName(pipeline)) +
+           " cache=" + std::string(CacheModeName(cache)) +
+           " cold=" + std::string(ColdPrecisionName(cold)) +
+           " sharding=" + std::string(ShardingModeName(sharding)) +
+           " stale=" + std::string(StaleSkipModeName(stale));
+  }
+};
+
+/// Every cell, the all-off one of each cold precision first.
+std::vector<Cell> AllCells() {
+  std::vector<Cell> cells;
+  for (auto pipeline : {PipelineMode::kOff, PipelineMode::kPrefetch,
+                        PipelineMode::kOverlap}) {
+    for (auto cache : {CacheMode::kOff, CacheMode::kOracle}) {
+      for (auto cold : {ColdPrecision::kFp32, ColdPrecision::kInt8}) {
+        for (auto sharding :
+             {ShardingMode::kReplicate, ShardingMode::kStatistical}) {
+          for (auto stale : {StaleSkipMode::kOff, StaleSkipMode::kCold,
+                             StaleSkipMode::kAll}) {
+            cells.push_back(Cell{pipeline, cache, cold, sharding, stale});
+          }
+        }
+      }
+    }
+  }
+  return cells;
+}
+
+/// The flag pairs a cell violates: the refusal message must name both
+/// flags of at least one of them. Empty means the cell must compose.
+using FlagPair = std::pair<std::string, std::string>;
+std::vector<FlagPair> Conflicts(const Cell& c, bool fae) {
+  std::vector<FlagPair> out;
+  const bool cache = c.cache != CacheMode::kOff;
+  const bool quantized = c.cold != ColdPrecision::kFp32;
+  const bool stale = c.stale != StaleSkipMode::kOff;
+  const bool sharded = c.sharding != ShardingMode::kReplicate;
+  if (cache && c.pipeline == PipelineMode::kOff) {
+    out.emplace_back("--cache", "--pipeline");
+  }
+  if (cache && quantized) out.emplace_back("--cold-precision", "--cache");
+  if (cache && stale) out.emplace_back("--stale-skip", "--cache");
+  if (!fae && quantized) out.emplace_back("--cold-precision", "--mode");
+  if (!fae && sharded) out.emplace_back("--sharding", "--mode");
+  if (!fae && c.stale == StaleSkipMode::kCold) {
+    out.emplace_back("--stale-skip", "--mode");
+  }
+  return out;
+}
+
+struct Fixture {
+  Fixture()
+      : schema(MakeKaggleLikeSchema(DatasetScale::kTiny)),
+        dataset(SyntheticGenerator(schema, {.seed = 43}).Generate(2000)),
+        split(dataset.MakeSplit(0.1)) {}
+
+  static TrainOptions Options(const Cell& c) {
+    TrainOptions opt;
+    opt.per_gpu_batch = 64;
+    opt.epochs = 1;
+    opt.eval_samples = 256;
+    opt.evals_per_epoch = 4;
+    opt.pipeline = c.pipeline;
+    opt.cache = c.cache;
+    opt.cache_budget_rows = 256;
+    opt.cache_lookahead = 4;
+    opt.cold_precision = c.cold;
+    opt.sharding = c.sharding;
+    opt.stale_skip = c.stale;
+    opt.stale_threshold = 0.0;  // the identity setting: nothing freezes
+    return opt;
+  }
+
+  // Tight enough that the plan leaves real cold rows (so the cache, the
+  // quantized store and cold-mode skipping all see cold batches).
+  static FaeConfig Config(ColdPrecision cold) {
+    FaeConfig cfg;
+    cfg.sample_rate = 0.25;
+    cfg.gpu_memory_budget = 384ULL << 10;
+    cfg.large_table_bytes = 1ULL << 12;
+    cfg.num_threads = 2;
+    cfg.cold_precision = cold;
+    return cfg;
+  }
+
+  StatusOr<TrainReport> Run(const Cell& c, const FaePlan* plan) const {
+    auto model = MakeModel(schema, /*full_size=*/false, 5);
+    Trainer trainer(model.get(), MakePaperServer(2), Options(c));
+    if (plan == nullptr) return trainer.TrainBaselineResumable(dataset, split);
+    return trainer.TrainFaeWithPlan(dataset, split, Config(c.cold), *plan);
+  }
+
+  DatasetSchema schema;
+  Dataset dataset;
+  Dataset::Split split;
+};
+
+void ExpectSameRun(const TrainReport& ref, const TrainReport& got,
+                   const std::string& label) {
+  EXPECT_EQ(ref.timeline.PhaseSumSeconds(), got.timeline.PhaseSumSeconds())
+      << label;
+  EXPECT_EQ(ref.final_test_loss, got.final_test_loss) << label;
+  ASSERT_EQ(ref.curve.size(), got.curve.size()) << label;
+  for (size_t i = 0; i < ref.curve.size(); ++i) {
+    EXPECT_EQ(ref.curve[i].train_loss, got.curve[i].train_loss)
+        << label << " point " << i;
+    EXPECT_EQ(ref.curve[i].test_loss, got.curve[i].test_loss)
+        << label << " point " << i;
+  }
+}
+
+/// Runs every cell through one driver (`plans` empty = the baseline;
+/// otherwise one FAE plan per cold precision, fp32 first).
+void SweepDriver(const Fixture& f, const std::vector<FaePlan>& plans) {
+  const bool fae = !plans.empty();
+  std::optional<TrainReport> refs[2];  // the all-off run per precision
+  size_t legal = 0;
+  size_t refused = 0;
+  for (const Cell& c : AllCells()) {
+    const std::string label = c.Label(fae);
+    const std::vector<FlagPair> conflicts = Conflicts(c, fae);
+    const size_t precision = c.cold == ColdPrecision::kFp32 ? 0 : 1;
+    StatusOr<TrainReport> r = f.Run(c, fae ? &plans[precision] : nullptr);
+    if (!conflicts.empty()) {
+      ++refused;
+      ASSERT_FALSE(r.ok()) << label << " must be refused";
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << label;
+      const std::string msg(r.status().message());
+      bool named = false;
+      for (const FlagPair& pair : conflicts) {
+        named |= msg.find(pair.first) != std::string::npos &&
+                 msg.find(pair.second) != std::string::npos;
+      }
+      EXPECT_TRUE(named) << label << ": \"" << msg
+                         << "\" names neither conflicting flag pair";
+      continue;
+    }
+    ++legal;
+    ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString();
+    std::optional<TrainReport>& ref = refs[precision];
+    if (ref.has_value()) {
+      ExpectSameRun(*ref, *r, label);
+    } else {
+      ref = std::move(r).value();
+      ASSERT_FALSE(ref->curve.empty());
+    }
+  }
+  // The legality table itself: which cells compose, per driver.
+  EXPECT_EQ(legal, fae ? 40u : 8u);
+  EXPECT_EQ(refused, AllCells().size() - legal);
+}
+
+TEST(CompositionMatrixTest, BaselineComposesOrRefusesEveryCombination) {
+  Fixture f;
+  SweepDriver(f, {});
+}
+
+TEST(CompositionMatrixTest, FaeComposesOrRefusesEveryCombination) {
+  Fixture f;
+  std::vector<FaePlan> plans;
+  for (ColdPrecision cold : {ColdPrecision::kFp32, ColdPrecision::kInt8}) {
+    FaePipeline pipeline(Fixture::Config(cold));
+    auto plan = pipeline.Prepare(f.dataset, f.split.train);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    plans.push_back(std::move(plan).value());
+  }
+  SweepDriver(f, plans);
+}
+
+}  // namespace
+}  // namespace fae

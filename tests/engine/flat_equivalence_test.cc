@@ -18,6 +18,7 @@
 #include "models/factory.h"
 #include "tensor/sgd.h"
 #include "embedding/sparse_sgd.h"
+#include "test_util.h"
 
 namespace fae {
 namespace {
@@ -155,9 +156,7 @@ TEST(FlatEquivalenceTest, TbsmResumeReproducesRunExactly) {
   const Dataset dataset =
       SyntheticGenerator(schema, {.seed = 31}).Generate(600);
   const Dataset::Split split = dataset.MakeSplit(0.2);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fae_tbsm_flat_resume.ckpt")
-          .string();
+  const std::string path = TempPath("fae_tbsm_flat_resume.ckpt");
 
   TrainOptions opt;
   opt.per_gpu_batch = 32;

@@ -20,13 +20,10 @@
 #include "data/synthetic.h"
 #include "engine/trainer.h"
 #include "models/factory.h"
+#include "test_util.h"
 
 namespace fae {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 std::string Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -461,43 +458,6 @@ TEST(PipelineDeterminismTest, ResumeMaySwitchCacheModes) {
     EXPECT_EQ(tables[t], uninterrupted.tables[t]) << "table " << t;
   }
   std::filesystem::remove(ckpt);
-}
-
-TEST(PipelineDeterminismTest, CacheRequiresAPipelinedRun) {
-  // Without the staging ring there is no oracle window to scan, so
-  // --cache=oracle with --pipeline=off is a configuration error, not a
-  // silent no-op — in both trainers.
-  Fixture f;
-  {
-    auto model = MakeModel(f.schema, false, 5);
-    TrainOptions opt = Fixture::WithCache(
-        Fixture::Options(PipelineMode::kOff, 1, 1, ""), 512, 4);
-    Trainer trainer(model.get(), MakePaperServer(2), opt);
-    auto report = trainer.TrainBaselineResumable(f.dataset, f.split);
-    EXPECT_FALSE(report.ok());
-  }
-  {
-    FaePipeline pipeline(Fixture::Config());
-    auto plan = pipeline.Prepare(f.dataset, f.split.train);
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    auto model = MakeModel(f.schema, false, 5);
-    TrainOptions opt = Fixture::WithCache(
-        Fixture::Options(PipelineMode::kOff, 1, 1, ""), 512, 4);
-    Trainer trainer(model.get(), MakePaperServer(2), opt);
-    auto report =
-        trainer.TrainFaeWithPlan(f.dataset, f.split, Fixture::Config(), *plan);
-    EXPECT_FALSE(report.ok());
-  }
-}
-
-TEST(PipelineDeterminismTest, PipelineRejectsLegacyPipelinedBaseline) {
-  Fixture f;
-  auto model = MakeModel(f.schema, false, 5);
-  TrainOptions opt = Fixture::Options(PipelineMode::kPrefetch, 2, 1, "");
-  opt.pipelined_baseline = true;
-  Trainer trainer(model.get(), MakePaperServer(2), opt);
-  auto report = trainer.TrainBaselineResumable(f.dataset, f.split);
-  EXPECT_FALSE(report.ok());
 }
 
 }  // namespace

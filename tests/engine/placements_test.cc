@@ -202,10 +202,13 @@ TEST(GpuCacheTest, MathMatchesBaseline) {
   EXPECT_DOUBLE_EQ(base.final_test_acc, cache.final_test_acc);
 }
 
+// The strongest baseline is the hybrid trainer with its CPU and GPU lanes
+// overlapped (--pipeline=overlap); FAE must still beat it under the same
+// pipelining.
 TEST(PipelinedTest, FaeStillWinsAgainstPipelinedBaseline) {
   Fixture f;
   TrainOptions opt = Fixture::Options(false);
-  opt.pipelined_baseline = true;
+  opt.pipeline = PipelineMode::kOverlap;
   FaePlan plan = f.Plan();
 
   auto bm = f.NewModel();

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 
 #include <gtest/gtest.h>
 
@@ -15,13 +14,10 @@
 #include "tensor/tensor.h"
 #include "util/file_io.h"
 #include "util/random.h"
+#include "test_util.h"
 
 namespace fae {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 struct Fixture {
   Fixture()
@@ -392,7 +388,8 @@ TEST(StaleSkipTest, SkippingSavesModeledTimeWithinLossBand) {
   EXPECT_LT(b->modeled_seconds, a->modeled_seconds);
   // The real timeline's charges never change with the knob — only the
   // overlay credit moves the modeled wall.
-  EXPECT_DOUBLE_EQ(b->timeline.TotalSeconds(), a->timeline.TotalSeconds());
+  EXPECT_DOUBLE_EQ(b->timeline.PhaseSumSeconds(),
+                   a->timeline.PhaseSumSeconds());
   // Guarded skipping stays within a narrow band of the exact run.
   EXPECT_NEAR(b->final_test_loss, a->final_test_loss,
               0.02 * a->final_test_loss);
@@ -449,8 +446,8 @@ TEST(StaleSkipTest, DeterministicAcrossPipelineModes) {
     EXPECT_DOUBLE_EQ(r->stale_final_threshold, base.stale_final_threshold);
     // The skipped work itself is priced identically; what differs across
     // pipeline modes is only how much of it the lanes would have hidden.
-    EXPECT_DOUBLE_EQ(r->timeline.TotalSeconds(),
-                     base.timeline.TotalSeconds());
+    EXPECT_DOUBLE_EQ(r->timeline.PhaseSumSeconds(),
+                     base.timeline.PhaseSumSeconds());
   }
 }
 
@@ -616,6 +613,8 @@ void ExpectInvalidBaseline(const Fixture& f, const TrainOptions& opt) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
+// Mode combinations (cache, baseline × kCold) are swept in
+// composition_matrix_test.cc; these are the knob's own demands.
 TEST(StaleSkipTest, RejectsIllegalCombinations) {
   Fixture f;
   {
@@ -626,22 +625,6 @@ TEST(StaleSkipTest, RejectsIllegalCombinations) {
   {
     TrainOptions opt = Fixture::StaleOptions(StaleSkipMode::kAll);
     opt.fp16_embeddings = true;  // needs the fused fp32 path
-    ExpectInvalidBaseline(f, opt);
-  }
-  {
-    TrainOptions opt = Fixture::StaleOptions(StaleSkipMode::kAll);
-    opt.pipelined_baseline = true;  // legacy wall has no BaselineParts
-    ExpectInvalidBaseline(f, opt);
-  }
-  {
-    TrainOptions opt = Fixture::StaleOptions(StaleSkipMode::kAll);
-    opt.pipeline = PipelineMode::kPrefetch;
-    opt.cache = CacheMode::kOracle;  // both reprice the same cold step
-    ExpectInvalidBaseline(f, opt);
-  }
-  {
-    TrainOptions opt = Fixture::StaleOptions(StaleSkipMode::kCold);
-    // kCold needs the FAE hot/cold partition; the baseline has none.
     ExpectInvalidBaseline(f, opt);
   }
   {

@@ -3,7 +3,6 @@
 // Status error or a successfully-validated load (payload bytes such as
 // float values can legitimately survive a flip).
 
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -20,13 +19,10 @@
 #include "serve/serve_config.h"
 #include "util/file_io.h"
 #include "util/random.h"
+#include "test_util.h"
 
 namespace fae {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 std::vector<char> ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

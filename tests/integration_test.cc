@@ -3,7 +3,6 @@
 // train with FAE -> checkpoint -> restore -> serve — with cross-stage
 // consistency checks at every hand-off.
 
-#include <filesystem>
 
 #include <gtest/gtest.h>
 
@@ -16,13 +15,10 @@
 #include "models/factory.h"
 #include "models/model_io.h"
 #include "util/file_io.h"
+#include "test_util.h"
 
 namespace fae {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 TEST(IntegrationTest, FullWorkflowEndToEnd) {
   const std::string data_path = TempPath("fae_e2e.faed");

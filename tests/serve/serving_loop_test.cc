@@ -5,7 +5,6 @@
 
 #include "serve/serving_loop.h"
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -16,13 +15,10 @@
 #include "models/factory.h"
 #include "sim/fault_injector.h"
 #include "util/file_io.h"
+#include "test_util.h"
 
 namespace fae {
 namespace {
-
-std::string TempSwapPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 Dataset MakeTraffic(size_t n, double drift) {
   DatasetSchema schema = MakeKaggleLikeSchema(DatasetScale::kTiny);
@@ -139,7 +135,7 @@ TEST(ServingLoopTest, DriftTriggersRecalibrationAndRecoversCoverage) {
   const ServeReport without = ServeRun(DriftDataset(), DriftPlan(), stale);
 
   ServeOptions recal = stale;
-  recal.swap_path = TempSwapPath("serving_loop_recal.faef");
+  recal.swap_path = TempPath("serving_loop_recal.faef");
   const ServeReport with = ServeRun(DriftDataset(), DriftPlan(), recal);
   (void)RemoveFile(recal.swap_path);
 
@@ -158,7 +154,7 @@ TEST(ServingLoopTest, DriftTriggersRecalibrationAndRecoversCoverage) {
 TEST(ServingLoopTest, WatchdogExhaustionDegradesToStaleServing) {
   ServeOptions opts = BaseOptions();
   opts.slo_hit_rate = 0.9;
-  opts.swap_path = TempSwapPath("serving_loop_exhaust.faef");
+  opts.swap_path = TempPath("serving_loop_exhaust.faef");
   opts.watchdog_deadline_seconds = 1e-12;  // every pass blows the deadline
   opts.max_recal_retries = 2;
   const ServeReport r = ServeRun(DriftDataset(), DriftPlan(), opts);
@@ -181,7 +177,7 @@ TEST(ServingLoopTest, RecalStallIsAbortedByWatchdogAndRetried) {
 
   ServeOptions opts = BaseOptions();
   opts.slo_hit_rate = 0.9;
-  opts.swap_path = TempSwapPath("serving_loop_stall.faef");
+  opts.swap_path = TempPath("serving_loop_stall.faef");
   opts.fault_injector = &faults;
   const ServeReport r = ServeRun(DriftDataset(), DriftPlan(), opts);
   (void)RemoveFile(opts.swap_path);
@@ -200,7 +196,7 @@ TEST(ServingLoopTest, TornSwapIsRejectedAndLaterSwapRecovers) {
 
   ServeOptions opts = BaseOptions();
   opts.slo_hit_rate = 0.9;
-  opts.swap_path = TempSwapPath("serving_loop_torn.faef");
+  opts.swap_path = TempPath("serving_loop_torn.faef");
   opts.fault_injector = &faults;
   const ServeReport r = ServeRun(DriftDataset(), DriftPlan(), opts);
   (void)RemoveFile(opts.swap_path);
@@ -271,7 +267,7 @@ TEST(ServingLoopTest, ContinuousTrainingStepsEveryBatchEvenWhileDegraded) {
   // With only a few batches the drift hasn't bitten yet; an unreachable SLO
   // makes the (deliberately failing) recalibration fire immediately.
   opts.slo_hit_rate = 0.99;
-  opts.swap_path = TempSwapPath("serving_loop_train.faef");
+  opts.swap_path = TempPath("serving_loop_train.faef");
   opts.watchdog_deadline_seconds = 1e-12;  // permanently degraded
   opts.continuous_training = true;
   opts.num_batches = 24;  // keep the math cheap
@@ -286,7 +282,7 @@ TEST(ServingLoopTest, ContinuousTrainingStepsEveryBatchEvenWhileDegraded) {
 TEST(ServingLoopTest, ReportsAreDeterministic) {
   ServeOptions opts = BaseOptions();
   opts.slo_hit_rate = 0.9;
-  opts.swap_path = TempSwapPath("serving_loop_det.faef");
+  opts.swap_path = TempPath("serving_loop_det.faef");
   const ServeReport a = ServeRun(DriftDataset(), DriftPlan(), opts);
   const ServeReport b = ServeRun(DriftDataset(), DriftPlan(), opts);
   (void)RemoveFile(opts.swap_path);

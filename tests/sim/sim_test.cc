@@ -92,7 +92,7 @@ TEST(TimelineTest, ChargeAccumulates) {
   tl.ChargeCpu(Phase::kOptimizerSparse, 2.0);
   tl.ChargeGpu(Phase::kMlpBackward, 3.0);
   EXPECT_DOUBLE_EQ(tl.seconds(Phase::kMlpForward), 2.0);
-  EXPECT_DOUBLE_EQ(tl.TotalSeconds(), 7.0);
+  EXPECT_DOUBLE_EQ(tl.PhaseSumSeconds(), 7.0);
   EXPECT_DOUBLE_EQ(tl.cpu_busy_seconds(), 2.0);
   EXPECT_DOUBLE_EQ(tl.gpu_busy_seconds(), 3.0);
 }

@@ -1,4 +1,5 @@
 #include "util/file_io.h"
+#include "test_util.h"
 
 #include <cstdint>
 #include <filesystem>
@@ -10,10 +11,6 @@
 
 namespace fae {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 class FileIoTest : public ::testing::Test {
  protected:
