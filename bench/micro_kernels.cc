@@ -1,12 +1,16 @@
 // Old-vs-new microbenchmark suite for the training hot-path kernels.
 //
-// The "seed" implementations below are verbatim copies of the scalar,
-// map-based kernels this repo started with (unordered_map SparseGrad,
-// un-annotated inner loops, no thread pool); the "new" measurements run
-// the current kernel layer (src/tensor/kernels.h, flat SparseGrad,
-// ThreadPool::ParallelFor) at 1 and 4 threads. Every pairing is also
-// checked for bit-exact agreement — the determinism contract says the
-// rewrite changes speed, never results.
+// The "seed" implementations are verbatim copies of the scalar, map-based
+// embedding kernels this repo started with (unordered_map SparseGrad,
+// un-annotated inner loops, no thread pool) below, and the plain GEMM and
+// interaction loops in tests/seed_kernels.h; both compile in this
+// translation unit at the same -O level as the library. The "new"
+// measurements run the current kernel layer (register-blocked GEMMs,
+// src/tensor/kernels.h, flat SparseGrad, ThreadPool::ParallelFor) at 1 and
+// 4 threads. Every pairing is also checked for bit-exact agreement — the
+// determinism contract says the rewrite changes speed, never results. The
+// JSON records the build type, compiler, flags and core count: compare
+// numbers only from a Release build.
 //
 // Usage:
 //   micro_kernels [--out=bench/BENCH_kernels.json] [--reps=5] [--smoke]
@@ -25,6 +29,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -38,6 +43,7 @@
 #include "stats/zipf.h"
 #include "tensor/mlp.h"
 #include "tensor/ops.h"
+#include "tests/seed_kernels.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -96,34 +102,6 @@ void LegacySparseSgdStep(EmbeddingTable& table, const LegacySparseGrad& grad,
     float* row = table.row(row_id);
     for (size_t k = 0; k < grad.dim; ++k) row[k] -= lr * g[k];
   }
-}
-
-Tensor LegacyMatMulBlocked(const Tensor& a, const Tensor& b) {
-  Tensor c(a.rows(), b.cols());
-  constexpr size_t kKc = 128;
-  constexpr size_t kJc = 128;
-  const size_t m = a.rows();
-  const size_t k = a.cols();
-  const size_t n = b.cols();
-  for (size_t k0 = 0; k0 < k; k0 += kKc) {
-    const size_t k1 = std::min(k, k0 + kKc);
-    for (size_t j0 = 0; j0 < n; j0 += kJc) {
-      const size_t j1 = std::min(n, j0 + kJc);
-      for (size_t i = 0; i < m; ++i) {
-        const float* arow = a.row(i);
-        float* crow = c.row(i);
-        for (size_t kk = k0; kk < k1; ++kk) {
-          const float av = arow[kk];
-          if (av == 0.0f) continue;
-          const float* brow = b.row(kk);
-          for (size_t j = j0; j < j1; ++j) {
-            crow[j] += av * brow[j];
-          }
-        }
-      }
-    }
-  }
-  return c;
 }
 
 // ---------------------------------------------------------------------------
@@ -249,19 +227,22 @@ std::vector<BenchResult> RunSuite(const SuiteConfig& cfg) {
     // GEMM shaped like an MLP layer at this batch: [B, dim] x [dim, dim].
     Tensor a = Tensor::Randn(cfg.batch, dim, 1.0f, rng);
     Tensor b = Tensor::Randn(dim, dim, 1.0f, rng);
+    Tensor c;
+    Tensor want;
     RunPair(
         cfg, "gemm", dim,
         [&] {
-          Tensor c = LegacyMatMulBlocked(a, b);
+          seed::MatMulInto(c, a, b);
           benchmark::DoNotOptimize(c.data());
         },
         [&](ThreadPool* pool) {
-          Tensor c = MatMulBlocked(a, b, pool);
+          MatMulInto(c, a, b, pool);
           benchmark::DoNotOptimize(c.data());
         },
         [&](ThreadPool* pool) {
-          return TensorsEqual(LegacyMatMulBlocked(a, b),
-                              MatMulBlocked(a, b, pool));
+          seed::MatMulInto(want, a, b);
+          MatMulInto(c, a, b, pool);
+          return TensorsEqual(want, c);
         },
         results);
 
@@ -315,7 +296,90 @@ std::vector<BenchResult> RunSuite(const SuiteConfig& cfg) {
         },
         results);
   }
+
+  // The dense layers that lead the host profile, at the Kaggle top MLP's
+  // first layer (367 -> 64) and its interaction (27 features, dim 16): the
+  // forward NN GEMM, the weight-gradient TN GEMM, the input-gradient NT
+  // GEMM and the interaction backward.
+  Xoshiro256 rng(4321);
+  const size_t in = 367;
+  const size_t out = 64;
+  Tensor x = Tensor::Randn(cfg.batch, in, 1.0f, rng);
+  for (size_t i = 0; i < x.numel(); ++i) {
+    x.data()[i] = std::max(0.0f, x.data()[i]);  // post-ReLU activations
+  }
+  Tensor w = Tensor::Randn(in, out, 0.1f, rng);
+  Tensor g = Tensor::Randn(cfg.batch, out, 0.1f, rng);
+  Tensor c;
+  Tensor want;
+  RunPair(
+      cfg, "gemm_nn_top_mlp", in, [&] { seed::MatMulInto(c, x, w); },
+      [&](ThreadPool* pool) { MatMulInto(c, x, w, pool); },
+      [&](ThreadPool* pool) {
+        seed::MatMulInto(want, x, w);
+        MatMulInto(c, x, w, pool);
+        return TensorsEqual(want, c);
+      },
+      results);
+  RunPair(
+      cfg, "gemm_tn_top_mlp", in, [&] { seed::MatMulTransAInto(c, x, g); },
+      [&](ThreadPool* pool) { MatMulTransAInto(c, x, g, pool); },
+      [&](ThreadPool* pool) {
+        seed::MatMulTransAInto(want, x, g);
+        MatMulTransAInto(c, x, g, pool);
+        return TensorsEqual(want, c);
+      },
+      results);
+  RunPair(
+      cfg, "gemm_nt_top_mlp", in, [&] { seed::MatMulTransBInto(c, g, w); },
+      [&](ThreadPool* pool) { MatMulTransBInto(c, g, w, pool); },
+      [&](ThreadPool* pool) {
+        seed::MatMulTransBInto(want, g, w);
+        MatMulTransBInto(c, g, w, pool);
+        return TensorsEqual(want, c);
+      },
+      results);
+
+  const size_t features = 27;
+  const size_t dim = 16;
+  std::vector<Tensor> feats;
+  std::vector<const Tensor*> ptrs;
+  for (size_t i = 0; i < features; ++i) {
+    feats.push_back(Tensor::Randn(cfg.batch, dim, 1.0f, rng));
+  }
+  for (const Tensor& t : feats) ptrs.push_back(&t);
+  Tensor gi = Tensor::Randn(cfg.batch, features * (features - 1) / 2, 0.1f,
+                            rng);
+  std::vector<Tensor> grads(features);
+  std::vector<Tensor> want_grads(features);
+  Tensor scratch;
+  RunPair(
+      cfg, "interaction_backward", dim,
+      [&] { seed::PairwiseDotInteractionBackwardInto(grads, gi, ptrs); },
+      [&](ThreadPool* pool) {
+        PairwiseDotInteractionBackwardInto(grads, gi, ptrs, scratch, pool);
+      },
+      [&](ThreadPool* pool) {
+        seed::PairwiseDotInteractionBackwardInto(want_grads, gi, ptrs);
+        PairwiseDotInteractionBackwardInto(grads, gi, ptrs, scratch, pool);
+        for (size_t i = 0; i < features; ++i) {
+          if (!TensorsEqual(want_grads[i], grads[i])) return false;
+        }
+        return true;
+      },
+      results);
   return results;
+}
+
+/// Build type, compiler, flags and core count of this binary.
+std::string ProvenanceJson() {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"build_type\": \"%s\", \"compiler\": \"%s\", "
+                "\"flags\": \"%s\", \"nproc\": %u}",
+                FAE_BUILD_TYPE, FAE_COMPILER, FAE_BUILD_FLAGS,
+                std::thread::hardware_concurrency());
+  return buf;
 }
 
 void WriteJson(const std::string& path, const SuiteConfig& cfg,
@@ -327,6 +391,7 @@ void WriteJson(const std::string& path, const SuiteConfig& cfg,
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"suite\": \"micro_kernels\",\n");
+  std::fprintf(f, "  \"provenance\": %s,\n", ProvenanceJson().c_str());
   std::fprintf(f, "  \"batch\": %zu,\n", cfg.batch);
   std::fprintf(f, "  \"lookups_per_sample\": %zu,\n", cfg.lookups_per_sample);
   std::fprintf(f, "  \"table_rows\": %llu,\n",
@@ -394,31 +459,18 @@ void BM_SparseSgdStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseSgdStep)->Arg(256)->Arg(4096);
 
-void BM_MatMulNaive(benchmark::State& state) {
+void BM_MatMul(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Xoshiro256 rng(11);
   Tensor a = Tensor::Randn(n, n, 1.0f, rng);
   Tensor b = Tensor::Randn(n, n, 1.0f, rng);
   for (auto _ : state) {
-    Tensor c = MatMulNaive(a, b);
+    Tensor c = MatMul(a, b);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_MatMulNaive)->Arg(128)->Arg(512);
-
-void BM_MatMulBlocked(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Xoshiro256 rng(11);
-  Tensor a = Tensor::Randn(n, n, 1.0f, rng);
-  Tensor b = Tensor::Randn(n, n, 1.0f, rng);
-  for (auto _ : state) {
-    Tensor c = MatMulBlocked(a, b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_MatMulBlocked)->Arg(128)->Arg(512);
+BENCHMARK(BM_MatMul)->Arg(128)->Arg(512);
 
 void BM_MlpForward(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
@@ -515,6 +567,7 @@ int main(int argc, char** argv) {
 
   fae::bench::PrintHeader(
       "micro_kernels: seed scalar path vs vectorized/threaded kernels");
+  std::printf("provenance: %s\n", fae::ProvenanceJson().c_str());
   const std::vector<fae::BenchResult> results = fae::RunSuite(cfg);
 
   bool all_bitexact = true;

@@ -48,6 +48,17 @@ target_link_libraries(micro_kernels PRIVATE fae benchmark::benchmark)
 target_include_directories(micro_kernels PRIVATE ${CMAKE_SOURCE_DIR})
 set_target_properties(micro_kernels PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+# Kernel timings only compare at the same build type, compiler and flags,
+# so BENCH_kernels.json records them.
+string(TOUPPER "${CMAKE_BUILD_TYPE}" FAE_BUILD_TYPE_UPPER)
+get_directory_property(FAE_DIR_OPTIONS COMPILE_OPTIONS)
+list(JOIN FAE_DIR_OPTIONS " " FAE_DIR_OPTIONS)
+string(STRIP "${CMAKE_CXX_FLAGS} ${CMAKE_CXX_FLAGS_${FAE_BUILD_TYPE_UPPER}} ${FAE_DIR_OPTIONS}"
+  FAE_BUILD_FLAGS)
+target_compile_definitions(micro_kernels PRIVATE
+  FAE_BUILD_TYPE="${CMAKE_BUILD_TYPE}"
+  FAE_COMPILER="${CMAKE_CXX_COMPILER_ID} ${CMAKE_CXX_COMPILER_VERSION}"
+  FAE_BUILD_FLAGS="${FAE_BUILD_FLAGS}")
 
 # Smoke-test the kernel bench under ctest (and under -DFAE_SANITIZE=ON
 # builds): tiny sizes, one rep, and the built-in old-vs-new bit-exactness

@@ -71,7 +71,7 @@ StepResult Dlrm::StepImpl(const BatchView& batch,
   // activations (bottom out lives in the bottom MLP's head layer, which
   // the top MLP's backward does not touch).
   PairwiseDotInteractionBackwardInto(feat_grads_, g_inter_, features_,
-                                     pool_);
+                                     inter_scratch_, pool_);
 
   // Bottom MLP backward (direct concat path + interaction path).
   feat_grads_[0].Add(g_bottom_direct_);

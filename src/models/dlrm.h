@@ -80,6 +80,7 @@ class Dlrm : public RecModel {
   std::vector<Tensor*> split_outs_;
   std::vector<size_t> split_widths_;
   std::vector<Tensor> feat_grads_;
+  Tensor inter_scratch_;  // interaction backward's per-sample GEMM operands
   mutable std::vector<uint32_t> work_scratch_;  // Work() distinct counting
 };
 

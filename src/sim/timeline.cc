@@ -61,36 +61,6 @@ double Timeline::OverlapFraction() const {
   return hid >= total ? 1.0 : hid / total;
 }
 
-void Timeline::Merge(const Timeline& other) {
-  for (size_t i = 0; i < seconds_.size(); ++i) {
-    seconds_[i] += other.seconds_[i];
-  }
-  for (size_t i = 0; i < credits_.size(); ++i) {
-    credits_[i] += other.credits_[i];
-  }
-  stale_skip_counters_.skipped_rows += other.stale_skip_counters_.skipped_rows;
-  stale_skip_counters_.updated_rows += other.stale_skip_counters_.updated_rows;
-  stale_skip_counters_.reactivated_rows +=
-      other.stale_skip_counters_.reactivated_rows;
-  stale_skip_counters_.guard_tightens +=
-      other.stale_skip_counters_.guard_tightens;
-  stale_skip_counters_.guard_widens += other.stale_skip_counters_.guard_widens;
-  cache_counters_.hits += other.cache_counters_.hits;
-  cache_counters_.misses += other.cache_counters_.misses;
-  cache_counters_.stale_refreshes += other.cache_counters_.stale_refreshes;
-  cache_counters_.prefetch_bytes += other.cache_counters_.prefetch_bytes;
-  cache_counters_.writeback_bytes += other.cache_counters_.writeback_bytes;
-  cache_counters_.plain_transfer_bytes +=
-      other.cache_counters_.plain_transfer_bytes;
-  cache_counters_.effective_transfer_bytes +=
-      other.cache_counters_.effective_transfer_bytes;
-  cpu_busy_ += other.cpu_busy_;
-  gpu_busy_ += other.gpu_busy_;
-  pcie_bytes_ += other.pcie_bytes_;
-  nvlink_bytes_ += other.nvlink_bytes_;
-  network_bytes_ += other.network_bytes_;
-}
-
 std::string Timeline::Report() const {
   const double total = PhaseSumSeconds();
   std::string out = StrFormat("total %s\n", HumanSeconds(total).c_str());

@@ -160,8 +160,6 @@ class Timeline {
   uint64_t nvlink_bytes() const { return nvlink_bytes_; }
   uint64_t network_bytes() const { return network_bytes_; }
 
-  void Merge(const Timeline& other);
-
   /// Multi-line per-phase report with percentages.
   std::string Report() const;
 

@@ -16,7 +16,9 @@
 // — uses multiple accumulators.
 //
 // Build with -DFAE_NATIVE_ARCH=ON to compile these (and everything else)
-// with -march=native for full-width SIMD.
+// with -march=native for full-width SIMD. That build also passes
+// -ffp-contract=off: without it GCC fuses a*b+c into an FMA on hosts that
+// have one, which rounds once instead of twice and changes the results.
 
 #if defined(__GNUC__) || defined(__clang__)
 #define FAE_RESTRICT __restrict__
@@ -65,7 +67,9 @@ inline void Add(size_t n, const float* FAE_RESTRICT x,
 
 /// <x, y> with four independent accumulators (deterministic, but a
 /// different association than a single-accumulator loop — callers that
-/// need the legacy association must not use this).
+/// need the legacy association must not use this). MatMulTransB's
+/// micro-kernel (ops.cc) reproduces this association bit for bit; change
+/// the two together.
 inline float Dot(size_t n, const float* FAE_RESTRICT x,
                  const float* FAE_RESTRICT y) {
   float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;

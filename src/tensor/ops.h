@@ -15,24 +15,16 @@ namespace fae {
 // implementation, so both are bit-identical. A-operands are MatViews so
 // activations can be consumed straight out of flat dataset buffers.
 
-/// C = A[m,k] * B[k,n]. Dispatches to the blocked kernel for shapes where
-/// tiling pays; the reference kernel otherwise. When `pool` is non-null
-/// the work is split over A's rows; output rows are written by exactly one
-/// thread each and per-element summation order is fixed, so the result is
+/// C = A[m,k] * B[k,n]. All three GEMMs run register-blocked micro-kernels
+/// that are bit-identical to the plain loops (for finite operands): NN and
+/// TN sum each element in ascending k with one accumulator, NT uses
+/// kernels::Dot's association (DESIGN.md §9). When `pool` is non-null the
+/// work is split over output rows; each row is written by exactly one
+/// thread and per-element summation order is fixed, so the result is
 /// bit-identical at any thread count.
 Tensor MatMul(const Tensor& a, const Tensor& b, ThreadPool* pool = nullptr);
 void MatMulInto(Tensor& c, MatView a, const Tensor& b,
                 ThreadPool* pool = nullptr);
-
-/// Reference triple-loop GEMM (used by tests as the ground truth).
-Tensor MatMulNaive(const Tensor& a, const Tensor& b,
-                   ThreadPool* pool = nullptr);
-
-/// Cache-blocked GEMM: tiles the k and j loops so the working set of B
-/// stays in cache across the i loop. Identical results to MatMulNaive
-/// (same summation order per element) at any thread count.
-Tensor MatMulBlocked(const Tensor& a, const Tensor& b,
-                     ThreadPool* pool = nullptr);
 
 /// C = A^T[k,m] * B[k,n] — i.e. MatMul(transpose(a), b) without
 /// materializing the transpose. Used for weight gradients.
@@ -41,7 +33,8 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b,
 void MatMulTransAInto(Tensor& c, MatView a, const Tensor& b,
                       ThreadPool* pool = nullptr);
 
-/// C = A[m,k] * B^T[n,k] — used for input gradients.
+/// C = A[m,k] * B^T[n,k] — used for input gradients. C(i, j) equals
+/// kernels::Dot(k, a.row(i), b.row(j)) bit for bit.
 Tensor MatMulTransB(const Tensor& a, const Tensor& b,
                     ThreadPool* pool = nullptr);
 void MatMulTransBInto(Tensor& c, const Tensor& a, const Tensor& b,
@@ -96,10 +89,13 @@ void PairwiseDotInteractionInto(Tensor& out,
 std::vector<Tensor> PairwiseDotInteractionBackward(
     const Tensor& grad_out, const std::vector<const Tensor*>& features,
     ThreadPool* pool = nullptr);
-/// Into variant: `grads` must already hold features.size() workspaces.
+/// Into variant: `grads` must already hold features.size() workspaces;
+/// `scratch` is a caller-owned workspace for the per-sample GEMM operands
+/// (one slot per pool thread), so a warm call allocates nothing.
 void PairwiseDotInteractionBackwardInto(
     std::vector<Tensor>& grads, const Tensor& grad_out,
-    const std::vector<const Tensor*>& features, ThreadPool* pool = nullptr);
+    const std::vector<const Tensor*>& features, Tensor& scratch,
+    ThreadPool* pool = nullptr);
 
 }  // namespace fae
 

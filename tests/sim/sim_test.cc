@@ -97,19 +97,6 @@ TEST(TimelineTest, ChargeAccumulates) {
   EXPECT_DOUBLE_EQ(tl.gpu_busy_seconds(), 3.0);
 }
 
-TEST(TimelineTest, MergeSumsEverything) {
-  Timeline a;
-  Timeline b;
-  a.Charge(Phase::kAllReduce, 1.0);
-  a.AddPcieBytes(100);
-  b.Charge(Phase::kAllReduce, 2.0);
-  b.AddNvlinkBytes(50);
-  a.Merge(b);
-  EXPECT_DOUBLE_EQ(a.seconds(Phase::kAllReduce), 3.0);
-  EXPECT_EQ(a.pcie_bytes(), 100u);
-  EXPECT_EQ(a.nvlink_bytes(), 50u);
-}
-
 TEST(TimelineTest, ReportMentionsPhases) {
   Timeline tl;
   tl.Charge(Phase::kEmbeddingSync, 1.0);

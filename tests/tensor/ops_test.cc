@@ -1,11 +1,40 @@
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "seed_kernels.h"
+
 namespace fae {
 namespace {
+
+/// Same shape and the same bytes — the contract between the blocked
+/// kernels and the reference loops in seed_kernels.h.
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// Randn entries; with `relu`, negatives become +0 and every seventh entry
+/// -0, so about half the operand is zeros of both signs.
+Tensor Operand(size_t rows, size_t cols, bool relu, Xoshiro256& rng) {
+  Tensor t = Tensor::Randn(rows, cols, 1.0f, rng);
+  if (relu) {
+    for (size_t i = 0; i < t.numel(); ++i) {
+      float& v = t.data()[i];
+      v = i % 7 == 0 ? -0.0f : std::max(0.0f, v);
+    }
+  }
+  return t;
+}
+
+/// Tile-edge sizes: below, at and past the micro-kernel tiles (4/8 wide,
+/// 3x4 for NT) and the 256-deep K panel.
+constexpr size_t kEdgeSizes[] = {1, 2, 3, 5, 8, 13, 16, 17, 64, 367};
 
 TEST(OpsTest, MatMulSmallKnown) {
   Tensor a(2, 3, {1, 2, 3, 4, 5, 6});
@@ -32,12 +61,12 @@ TEST(OpsTest, TransposedVariantsAgreeWithExplicitTranspose) {
   Xoshiro256 rng(2);
   Tensor a = Tensor::Randn(5, 3, 1.0f, rng);
   Tensor b = Tensor::Randn(5, 4, 1.0f, rng);
-  // a^T * b via MatMulTransA.
+  // a^T * b via MatMulTransA: the same core and k order as MatMul.
   Tensor at(3, 5);
   for (size_t i = 0; i < 5; ++i) {
     for (size_t j = 0; j < 3; ++j) at(j, i) = a(i, j);
   }
-  EXPECT_LT(MaxAbsDiff(MatMulTransA(a, b), MatMul(at, b)), 1e-5f);
+  EXPECT_TRUE(BitEqual(MatMulTransA(a, b), MatMul(at, b)));
 
   Tensor c = Tensor::Randn(4, 3, 1.0f, rng);
   Tensor d = Tensor::Randn(6, 3, 1.0f, rng);
@@ -45,6 +74,8 @@ TEST(OpsTest, TransposedVariantsAgreeWithExplicitTranspose) {
   for (size_t i = 0; i < 6; ++i) {
     for (size_t j = 0; j < 3; ++j) dt(j, i) = d(i, j);
   }
+  // NT keeps Dot's four-lane association, so it only agrees with NN to
+  // rounding.
   EXPECT_LT(MaxAbsDiff(MatMulTransB(c, d), MatMul(c, dt)), 1e-5f);
 }
 
@@ -173,24 +204,112 @@ TEST(OpsTest, PairwiseDotBackwardMatchesNumericalGradient) {
   }
 }
 
-TEST(OpsTest, BlockedMatMulMatchesNaive) {
+TEST(OpsTest, GemmBitExactAcrossTileEdges) {
   Xoshiro256 rng(7);
-  for (auto [m, k, n] : {std::tuple<size_t, size_t, size_t>{3, 5, 7},
-                         {64, 128, 96},
-                         {257, 300, 129},
-                         {1, 400, 1}}) {
-    Tensor a = Tensor::Randn(m, k, 1.0f, rng);
-    Tensor b = Tensor::Randn(k, n, 1.0f, rng);
-    EXPECT_LT(MaxAbsDiff(MatMulBlocked(a, b), MatMulNaive(a, b)), 1e-4f)
-        << m << "x" << k << "x" << n;
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  for (size_t m : kEdgeSizes) {
+    for (size_t n : kEdgeSizes) {
+      for (size_t k : kEdgeSizes) {
+        if (m * n * k > (1u << 18)) continue;
+        const bool relu = (m + n + k) % 2 == 0;
+        const Tensor a = Operand(m, k, relu, rng);
+        const Tensor b = Tensor::Randn(k, n, 1.0f, rng);
+        const Tensor at = Operand(k, m, relu, rng);
+        const Tensor bt = Tensor::Randn(n, k, 1.0f, rng);
+        Tensor nn, tn, nt;
+        seed::MatMulInto(nn, a, b);
+        seed::MatMulTransAInto(tn, at, b);
+        seed::MatMulTransBInto(nt, a, bt);
+        for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool1,
+                                 &pool4}) {
+          EXPECT_TRUE(BitEqual(MatMul(a, b, pool), nn))
+              << "NN " << m << "x" << k << "x" << n;
+          EXPECT_TRUE(BitEqual(MatMulTransA(at, b, pool), tn))
+              << "TN " << m << "x" << k << "x" << n;
+          EXPECT_TRUE(BitEqual(MatMulTransB(a, bt, pool), nt))
+              << "NT " << m << "x" << k << "x" << n;
+        }
+      }
+    }
   }
 }
 
-TEST(OpsTest, MatMulDispatchMatchesNaiveOnLargeShapes) {
+TEST(OpsTest, GemmBitExactOnLargeShapesAndRowOffsetViews) {
   Xoshiro256 rng(8);
-  Tensor a = Tensor::Randn(300, 400, 1.0f, rng);
-  Tensor b = Tensor::Randn(400, 350, 1.0f, rng);
-  EXPECT_LT(MaxAbsDiff(MatMul(a, b), MatMulNaive(a, b)), 1e-4f);
+  ThreadPool pool4(4);
+  // Kaggle-like layers: the top MLP's 367-wide input, the 13-wide bottom
+  // input, the n = 1 logit layer, and a K deep enough for several panels.
+  for (auto [m, k, n] : {std::tuple<size_t, size_t, size_t>{515, 367, 64},
+                         {300, 13, 64},
+                         {261, 64, 1},
+                         {37, 1100, 19}}) {
+    for (bool relu : {false, true}) {
+      // Views start three rows into their buffers, like a batch's rows of
+      // a flat dataset.
+      const Tensor a_buf = Operand(m + 5, k, relu, rng);
+      const MatView a(a_buf.row(3), m, k);
+      const Tensor b = Tensor::Randn(k, n, 1.0f, rng);
+      const Tensor at_buf = Operand(k + 5, m, relu, rng);
+      const MatView at(at_buf.row(3), k, m);
+      const Tensor a_own = Operand(m, k, relu, rng);
+      const Tensor bt = Tensor::Randn(n, k, 1.0f, rng);
+      Tensor nn, tn, nt;
+      seed::MatMulInto(nn, a, b);
+      seed::MatMulTransAInto(tn, at, b);
+      seed::MatMulTransBInto(nt, a_own, bt);
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool4}) {
+        Tensor c;
+        MatMulInto(c, a, b, pool);
+        EXPECT_TRUE(BitEqual(c, nn)) << "NN " << m << "x" << k << "x" << n;
+        MatMulTransAInto(c, at, b, pool);
+        EXPECT_TRUE(BitEqual(c, tn)) << "TN " << m << "x" << k << "x" << n;
+        MatMulTransBInto(c, a_own, bt, pool);
+        EXPECT_TRUE(BitEqual(c, nt)) << "NT " << m << "x" << k << "x" << n;
+      }
+    }
+  }
+}
+
+TEST(OpsTest, InteractionBitExactAgainstReferenceLoops) {
+  Xoshiro256 rng(9);
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  Tensor inter;
+  std::vector<Tensor> grads;
+  Tensor scratch;  // reused across shapes, as a model workspace is
+  for (size_t f : {2, 3, 5, 8, 13, 27}) {
+    for (size_t d : {1, 3, 4, 8, 13, 16, 17, 64}) {
+      for (size_t rows : {1, 7, 130}) {
+        std::vector<Tensor> feats;
+        for (size_t i = 0; i < f; ++i) {
+          feats.push_back(Operand(rows, d, i % 2 == 1, rng));
+        }
+        std::vector<const Tensor*> ptrs;
+        for (const Tensor& t : feats) ptrs.push_back(&t);
+        const Tensor grad_out =
+            Operand(rows, f * (f - 1) / 2, (f + d) % 2 == 0, rng);
+        Tensor fwd;
+        seed::PairwiseDotInteractionInto(fwd, ptrs);
+        std::vector<Tensor> bwd(f);
+        seed::PairwiseDotInteractionBackwardInto(bwd, grad_out, ptrs);
+        for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool1,
+                                 &pool4}) {
+          PairwiseDotInteractionInto(inter, ptrs, pool);
+          EXPECT_TRUE(BitEqual(inter, fwd))
+              << "forward f=" << f << " d=" << d << " rows=" << rows;
+          grads.assign(f, Tensor());
+          PairwiseDotInteractionBackwardInto(grads, grad_out, ptrs, scratch,
+                                             pool);
+          for (size_t i = 0; i < f; ++i) {
+            EXPECT_TRUE(BitEqual(grads[i], bwd[i]))
+                << "backward f=" << f << " d=" << d << " rows=" << rows
+                << " feature " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(OpsDeathTest, MatMulShapeMismatchAborts) {
