@@ -5,11 +5,14 @@
 // binary regenerates one table or figure of the paper (see DESIGN.md §4)
 // and prints the same rows/series the paper reports.
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/schema.h"
@@ -97,6 +100,18 @@ class Args {
     auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     return it->second != "0" && it->second != "false";
+  }
+
+  /// Names of the flags given that are not in `accepted`, in name order.
+  std::vector<std::string> UnknownFlags(
+      std::initializer_list<std::string_view> accepted) const {
+    std::vector<std::string> unknown;
+    for (const auto& [key, value] : values_) {
+      if (std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
+        unknown.push_back(key);
+      }
+    }
+    return unknown;
   }
 
  private:

@@ -6,7 +6,6 @@
 
 #include "core/embedding_classifier.h"
 #include "data/flat_dataset.h"
-#include "data/minibatch.h"
 #include "embedding/embedding_table.h"
 #include "util/statusor.h"
 
@@ -30,14 +29,12 @@ class EmbeddingReplicator {
   /// wholesale).
   std::vector<EmbeddingTable*> replica_tables();
 
-  /// Rewrites a *hot* batch's indices from master coordinates to replica
-  /// slots. InvalidArgument if any lookup is not hot (the input processor
-  /// guarantees this never happens for batches it labeled hot).
-  StatusOr<MiniBatch> TranslateBatch(const MiniBatch& batch) const;
-
-  /// Flat-layout equivalent: one translated clone of an all-hot gathered
-  /// dataset, produced once per hot phase so every hot batch view is
-  /// already in replica coordinates (no per-batch translation copies).
+  /// Rewrites an all-hot gathered dataset's indices from master
+  /// coordinates to replica slots: one translated clone, produced once per
+  /// hot phase so every hot batch view is already in replica coordinates
+  /// (no per-batch translation copies). InvalidArgument if any lookup is
+  /// not hot (the input processor guarantees this never happens for the
+  /// class it labeled hot).
   StatusOr<FlatDataset> TranslateFlat(const FlatDataset& flat) const;
 
   /// Replica slot of master row `row` in table `t`, or -1 when cold.

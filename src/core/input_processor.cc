@@ -67,28 +67,9 @@ ProcessedInputs InputProcessor::Classify(
   return out;
 }
 
-InputProcessor::PackedBatches InputProcessor::Pack(
-    const Dataset& dataset, const ProcessedInputs& inputs, size_t batch_size,
-    uint64_t seed) {
-  Xoshiro256 rng(seed);
-  std::vector<uint64_t> hot = inputs.hot_ids;
-  std::vector<uint64_t> cold = inputs.cold_ids;
-  // Fisher-Yates within each class keeps batches pure but random.
-  for (size_t i = hot.size(); i > 1; --i) {
-    std::swap(hot[i - 1], hot[rng.NextBounded(i)]);
-  }
-  for (size_t i = cold.size(); i > 1; --i) {
-    std::swap(cold[i - 1], cold[rng.NextBounded(i)]);
-  }
-  PackedBatches packed;
-  packed.hot = AssembleBatches(dataset, hot, batch_size, /*hot=*/true);
-  packed.cold = AssembleBatches(dataset, cold, batch_size, /*hot=*/false);
-  return packed;
-}
-
 InputProcessor::PackedFlat InputProcessor::PackFlat(
     const Dataset& dataset, const ProcessedInputs& inputs, uint64_t seed) {
-  // Same RNG call sequence as Pack: hot shuffle first, then cold.
+  // Fisher-Yates within each class keeps batches pure but random.
   Xoshiro256 rng(seed);
   std::vector<uint64_t> hot = inputs.hot_ids;
   std::vector<uint64_t> cold = inputs.cold_ids;

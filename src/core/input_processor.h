@@ -6,7 +6,6 @@
 
 #include "core/embedding_classifier.h"
 #include "data/dataset.h"
-#include "data/minibatch.h"
 
 namespace fae {
 
@@ -40,19 +39,9 @@ class InputProcessor {
   ProcessedInputs Classify(const Dataset& dataset, const HotSet& hot_set,
                            const std::vector<uint64_t>& which) const;
 
-  /// Shuffles each class (seeded) and packs pure mini-batches.
-  struct PackedBatches {
-    std::vector<MiniBatch> hot;
-    std::vector<MiniBatch> cold;
-  };
-  static PackedBatches Pack(const Dataset& dataset,
-                            const ProcessedInputs& inputs, size_t batch_size,
-                            uint64_t seed);
-
-  /// Flat-layout Pack: identical class shuffles (same seed, same RNG call
-  /// sequence), but each class becomes one gathered FlatDataset that pure
-  /// batches can view zero-copy (see MakeBatchViews) instead of a vector
-  /// of copied MiniBatches.
+  /// Shuffles each class (seeded Fisher-Yates, hot first, then cold) and
+  /// gathers it into one FlatDataset, so pure mini-batches are zero-copy
+  /// views of it (see MakeBatchViews).
   struct PackedFlat {
     FlatDataset hot;
     FlatDataset cold;

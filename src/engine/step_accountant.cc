@@ -165,144 +165,6 @@ void StepAccountant::ChargeSyncToCpu(uint64_t hot_bytes, Timeline& tl) const {
   tl.AddPcieBytes(hot_bytes);
 }
 
-void StepAccountant::ChargeShardedHotStep(const BatchWork& w,
-                                          const ShardedStepTraffic& t,
-                                          Timeline& tl) const {
-  const SystemSpec& sys = cost_->system();
-  const int g = std::max(1, sys.num_gpus);
-  const int nodes = std::max(1, sys.num_nodes);
-  const int world = g * nodes;
-  const uint64_t shard = w.batch_size / world;
-
-  // Forward gathers: replicated rows serve each GPU's 1/world batch shard
-  // locally (the ChargeHotStep pattern); sharded rows are gathered by
-  // their owners for the whole global batch, so the step waits on the most
-  // loaded owner.
-  tl.ChargeGpu(
-      Phase::kEmbeddingForward,
-      cost_->GatherSeconds(t.replicated_lookup_bytes / world, sys.gpu) +
-          cost_->GatherSeconds(t.max_device_lookup_bytes, sys.gpu));
-
-  // All-to-all of the sharded share's pooled activations (forward), and of
-  // their gradients (backward). Scaling the batch's activation bytes by
-  // the sharded share of lookup traffic prices replicated hits at zero
-  // exchange — the entire point of replicating the head. Each device
-  // exchanges with (world - 1) peers: (g - 1) of them over NVLink, the
-  // other g * (nodes - 1) over the network, links of all devices (nodes)
-  // running in parallel.
-  const uint64_t lookup_total =
-      t.replicated_lookup_bytes + t.sharded_lookup_bytes;
-  if (world > 1 && t.sharded_lookup_bytes > 0 && lookup_total > 0) {
-    const uint64_t shard_activation =
-        w.embedding_activation_bytes * t.sharded_lookup_bytes / lookup_total;
-    const uint64_t exchanged = shard_activation * (world - 1) / world;
-    const uint64_t intra = exchanged * (g - 1) / (world - 1);
-    const uint64_t inter = exchanged - intra;
-    if (intra > 0) {
-      const double a2a_nv =
-          2.0 * sys.nvlink.latency + static_cast<double>(intra) /
-                                         static_cast<double>(world) /
-                                         sys.nvlink.bandwidth;
-      tl.Charge(Phase::kAllReduce, a2a_nv);
-      tl.Charge(Phase::kAllReduce, a2a_nv);
-      tl.AddNvlinkBytes(2 * intra);
-    }
-    if (inter > 0) {
-      const double a2a_net =
-          2.0 * sys.network.latency + static_cast<double>(inter) /
-                                          static_cast<double>(nodes) /
-                                          sys.network.bandwidth;
-      tl.Charge(Phase::kNetwork, a2a_net);
-      tl.Charge(Phase::kNetwork, a2a_net);
-      tl.AddNetworkBytes(2 * inter);
-    }
-  }
-
-  // Dense network: identical to every other placement.
-  tl.ChargeGpu(Phase::kMlpForward,
-               cost_->DenseComputeSeconds(w.forward_flops / world, shard,
-                                          sys.gpu));
-  tl.ChargeGpu(Phase::kMlpBackward,
-               cost_->DenseComputeSeconds(2 * w.forward_flops / world, shard,
-                                          sys.gpu));
-
-  // Scatter mirrors the forward gathers.
-  tl.ChargeGpu(
-      Phase::kEmbeddingBackward,
-      cost_->GatherSeconds(t.replicated_lookup_bytes / world, sys.gpu) +
-          cost_->GatherSeconds(t.max_device_lookup_bytes, sys.gpu));
-
-  // Replicated rows' gradients ride the dense all-reduce (every device
-  // needs them, as in ChargeHotStep); sharded rows' gradients already
-  // arrived at their owner through the all-to-all above.
-  const uint64_t grad_bytes =
-      w.dense_param_count * sizeof(float) + t.replicated_touched_bytes;
-  tl.Charge(Phase::kAllReduce, cost_->AllReduceSeconds(grad_bytes));
-  if (g > 1) tl.AddNvlinkBytes(2 * (g - 1) * grad_bytes / g * g);
-  if (nodes > 1) tl.AddNetworkBytes(2 * (nodes - 1) * grad_bytes / nodes);
-
-  // Sparse optimizer: every device updates its replicated copy in full
-  // (concurrently, as in the hot step); each shard is updated only by its
-  // owner, so the step waits on the most touched one.
-  tl.ChargeGpu(
-      Phase::kOptimizerSparse,
-      sys.gpu.sparse_update_overhead *
-          (cost_->GatherSeconds(3 * t.replicated_touched_bytes, sys.gpu) +
-           cost_->GatherSeconds(3 * t.max_device_touched_bytes, sys.gpu)));
-  tl.ChargeGpu(
-      Phase::kOptimizerDense,
-      cost_->StreamSeconds(3 * w.dense_param_count * sizeof(float), sys.gpu));
-}
-
-void StepAccountant::ChargeShardedSyncToGpus(uint64_t replicated_bytes,
-                                             uint64_t shard_bytes_total,
-                                             uint64_t max_shard_bytes,
-                                             Timeline& tl) const {
-  const SystemSpec& sys = cost_->system();
-  const int g = std::max(1, sys.num_gpus);
-  const int nodes = std::max(1, sys.num_nodes);
-  // Replicated subset: ChargeSyncToGpus semantics (parallel per-GPU
-  // broadcast, remote nodes fed over the network first). Shards: each
-  // owner pulls its own rows over its own PCIe link concurrently, so the
-  // wall only grows by the largest shard; remote owners' shards cross the
-  // network, per-node links in parallel.
-  tl.Charge(Phase::kEmbeddingSync,
-            cost_->PcieTransferSeconds(replicated_bytes) +
-                cost_->PcieTransferSeconds(max_shard_bytes));
-  tl.AddPcieBytes(replicated_bytes * static_cast<uint64_t>(g * nodes) +
-                  shard_bytes_total);
-  if (nodes > 1) {
-    const uint64_t remote_shards = shard_bytes_total * (nodes - 1) / nodes;
-    tl.Charge(Phase::kEmbeddingSync,
-              cost_->NetworkTransferSeconds(replicated_bytes) +
-                  cost_->NetworkTransferSeconds(remote_shards / nodes));
-    tl.AddNetworkBytes(replicated_bytes * static_cast<uint64_t>(nodes - 1) +
-                       remote_shards);
-  }
-}
-
-void StepAccountant::ChargeShardedSyncToCpu(uint64_t replicated_bytes,
-                                            uint64_t shard_bytes_total,
-                                            uint64_t max_shard_bytes,
-                                            Timeline& tl) const {
-  const SystemSpec& sys = cost_->system();
-  const int nodes = std::max(1, sys.num_nodes);
-  // One replica per node returns that node's share of the replicated
-  // subset (ChargeSyncToCpu semantics); shard owners return their rows
-  // concurrently. Shards of remote owners hop the network to reach their
-  // node's CPU master shard.
-  tl.Charge(Phase::kEmbeddingSync,
-            cost_->PcieTransferSeconds(replicated_bytes / nodes) +
-                cost_->PcieTransferSeconds(max_shard_bytes));
-  tl.AddPcieBytes(replicated_bytes + shard_bytes_total);
-  if (nodes > 1) {
-    const uint64_t remote_shards = shard_bytes_total * (nodes - 1) / nodes;
-    tl.Charge(Phase::kEmbeddingSync,
-              cost_->NetworkTransferSeconds(remote_shards / nodes));
-    tl.AddNetworkBytes(remote_shards);
-  }
-}
-
 void StepAccountant::ChargeNvOptStep(const BatchWork& w,
                                      const std::vector<bool>& table_on_gpu,
                                      size_t dim, size_t batch_size,

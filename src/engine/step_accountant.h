@@ -60,50 +60,6 @@ class StepAccountant {
   /// Hot-slice copy-back GPU -> CPU (leaving a hot phase).
   void ChargeSyncToCpu(uint64_t hot_bytes, Timeline& tl) const;
 
-  /// One hot step's byte traffic under a sharded placement
-  /// (sim/partition.h ShardedPlacement), derived by the trainer from the
-  /// batch's actual lookups: replicated rows are served locally on every
-  /// GPU; sharded rows are gathered by their owner and their pooled
-  /// activations exchanged all-to-all. The max_device_* fields carry the
-  /// bottleneck owner's share — the modeled step waits on the most loaded
-  /// device, which is exactly what ShardedPlacement::Imbalance predicts.
-  struct ShardedStepTraffic {
-    uint64_t replicated_lookup_bytes = 0;
-    uint64_t sharded_lookup_bytes = 0;
-    uint64_t max_device_lookup_bytes = 0;
-    uint64_t replicated_touched_bytes = 0;  // ride the gradient all-reduce
-    uint64_t sharded_touched_bytes = 0;     // owner-side sparse optimizer
-    uint64_t max_device_touched_bytes = 0;
-  };
-
-  /// Hot step under --sharding=lpt|statistical. Replicated lookups follow
-  /// the ChargeHotStep pattern (local gathers, gradients all-reduced);
-  /// sharded lookups follow ChargeModelParallelStep generalized to
-  /// multi-node: the all-to-all's activation share is split between NVLink
-  /// (intra-node peers) and the network (inter-node peers) by peer count,
-  /// and the sharded rows' scatter + sparse optimizer run only on the
-  /// owning device. The trainer charges this into a *scratch* timeline and
-  /// prices it against the plain ChargeHotStep — the real timeline's
-  /// charges never change with sharding, keeping checkpoints byte-equal
-  /// across modes.
-  void ChargeShardedHotStep(const BatchWork& w, const ShardedStepTraffic& t,
-                            Timeline& tl) const;
-
-  /// Hot-slice distribution under a sharded placement: the replicated
-  /// subset broadcasts exactly like ChargeSyncToGpus; each shard ships
-  /// once to its owner, per-GPU PCIe links in parallel, so the modeled
-  /// time adds only the largest single-device shard.
-  void ChargeShardedSyncToGpus(uint64_t replicated_bytes,
-                               uint64_t shard_bytes_total,
-                               uint64_t max_shard_bytes, Timeline& tl) const;
-
-  /// Copy-back inverse of ChargeShardedSyncToGpus: one replica returns the
-  /// replicated subset (ChargeSyncToCpu semantics) and each owner returns
-  /// its shard in parallel.
-  void ChargeShardedSyncToCpu(uint64_t replicated_bytes,
-                              uint64_t shard_bytes_total,
-                              uint64_t max_shard_bytes, Timeline& tl) const;
-
   /// NvOPT step: `table_on_gpu[t]` marks tables resident on the GPU in
   /// fp16; `dim` is the embedding dim; `batch_size` the global batch.
   void ChargeNvOptStep(const BatchWork& w,

@@ -73,7 +73,7 @@ class OverlapTracker {
   /// overlapped (== `total` for single-lane steps).
   void OnStep(double prep, double total, double overlapped);
 
-  /// An overlay (cache, sharding, stale-skip) credits `plain - variant`
+  /// An overlay (cache, stale-skip) credits `plain - variant`
   /// seconds to `credit`: `plain` is what the real timeline charged,
   /// `variant` the same event under the overlay. Positive credit also
   /// fills the segment's window.

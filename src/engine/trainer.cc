@@ -9,7 +9,6 @@
 #include "core/fae_format.h"
 #include "engine/batch_pipeline.h"
 #include "core/input_processor.h"
-#include "core/shard_planner.h"
 #include "core/shuffle_scheduler.h"
 #include "engine/dirty_rows.h"
 #include "engine/ring_limits.h"
@@ -136,7 +135,7 @@ Status ValidateStaleOptions(const TrainOptions& options) {
   return Status::OK();
 }
 
-/// The cost overlays (DESIGN.md §13, §15, §16) as pricing routines. Each
+/// The cost overlays (DESIGN.md §13, §16) as pricing routines. Each
 /// prices one event both ways through the real StepAccountant — the plain
 /// charge the real timeline already carries, and the overlay's variant
 /// charged into a scratch timeline — and hands the pair to the credit
@@ -151,17 +150,6 @@ struct Overlays {
   OverlapTracker& ledger;
   /// --cache=oracle: the lookahead oracle cache in front of cold steps.
   LookaheadCache cache;
-  /// --sharding=lpt|statistical: the placement, each hot batch's traffic
-  /// split (indexed like hot_batches), and the placement's byte totals for
-  /// scaling syncs that ship less than the whole slice (dirty sync assumes
-  /// uniform dirtiness).
-  ShardedPlacement placement;
-  std::vector<StepAccountant::ShardedStepTraffic> traffic;
-  uint64_t hot_bytes = 0;
-  uint64_t replicated_bytes = 0;
-  uint64_t shard_bytes_total = 0;
-  uint64_t max_shard_bytes = 0;
-
   /// Whether the plain step runs its CPU/GPU lanes overlapped
   /// (--pipeline=overlap) or serially; the variant matches it.
   bool overlap_lanes() const {
@@ -216,44 +204,6 @@ struct Overlays {
     Timeline::CacheCounters& cc = ledger.timeline().cache_counters();
     cc.writeback_bytes += bytes;
     cc.effective_transfer_bytes += bytes;
-  }
-
-  /// One hot step under the sharded placement, against the replicated
-  /// step's `plain_seconds`.
-  void ShardedHotStep(const BatchWork& w, size_t batch,
-                      double plain_seconds) {
-    Timeline scratch;
-    accountant.ChargeShardedHotStep(w, traffic[batch], scratch);
-    ledger.CreditOverlay(Credit::kSharding, plain_seconds,
-                         scratch.PhaseSumSeconds());
-  }
-
-  /// One hot-slice sync of `shipped_bytes` (to the GPUs or back) under the
-  /// sharded placement, against the replicated broadcast / copy-back.
-  void ShardedSync(bool to_gpus, uint64_t shipped_bytes) {
-    const double frac =
-        hot_bytes > 0
-            ? static_cast<double>(shipped_bytes) / static_cast<double>(
-                                                       hot_bytes)
-            : 0.0;
-    const auto scaled = [frac](uint64_t bytes) {
-      return static_cast<uint64_t>(static_cast<double>(bytes) * frac);
-    };
-    Timeline plain;
-    Timeline scratch;
-    if (to_gpus) {
-      accountant.ChargeSyncToGpus(shipped_bytes, plain);
-      accountant.ChargeShardedSyncToGpus(scaled(replicated_bytes),
-                                         scaled(shard_bytes_total),
-                                         scaled(max_shard_bytes), scratch);
-    } else {
-      accountant.ChargeSyncToCpu(shipped_bytes, plain);
-      accountant.ChargeShardedSyncToCpu(scaled(replicated_bytes),
-                                        scaled(shard_bytes_total),
-                                        scaled(max_shard_bytes), scratch);
-    }
-    ledger.CreditOverlay(Credit::kSharding, plain.PhaseSumSeconds(),
-                         scratch.PhaseSumSeconds());
   }
 
   /// One CPU step under stale-update skipping, against the plain hybrid
@@ -347,13 +297,10 @@ uint64_t Trainer::OptionsFingerprint() const {
   // every table), and the resume path reconciles it explicitly — same
   // precision resumes verbatim, fp32 widens exactly, anything else is
   // rejected — so the fingerprint would only forbid the legal directions.
-  // sharding is absent on the cache contract: a sharded placement is a
-  // pure cost-model overlay (math always reads the CPU master and the
-  // savings live outside Timeline::State), so a resume may switch
-  // --sharding freely. The stale-skip triple (stale_skip, stale_threshold,
-  // stale_min_visits) is absent on the cold_precision contract: the
-  // tracker's per-row state travels *inside* the checkpoint (v3's
-  // staleness section) and the resume path reconciles it explicitly —
+  // The stale-skip triple (stale_skip, stale_threshold, stale_min_visits)
+  // is absent on the cold_precision contract: the tracker's per-row state
+  // travels *inside* the checkpoint (v3's staleness section) and the
+  // resume path reconciles it explicitly —
   // same-mode resume restores it verbatim (bit-exact), turning skipping
   // off ignores it, turning it on starts a fresh tracker — so the
   // fingerprint would only forbid the legal directions.
@@ -441,7 +388,6 @@ void Trainer::FinishReport(TrainReport& report,
   report.overlap_saved_seconds = report.timeline.credit(Credit::kOverlap);
   report.overlap_fraction = report.timeline.OverlapFraction();
   report.cache_saved_seconds = report.timeline.credit(Credit::kCache);
-  report.sharding_saved_seconds = report.timeline.credit(Credit::kSharding);
   const Timeline::CacheCounters& cc = report.timeline.cache_counters();
   report.cache_hits = cc.hits;
   report.cache_misses = cc.misses;
@@ -501,12 +447,6 @@ StatusOr<TrainReport> Trainer::TrainBaselineResumable(
         "--cold-precision applies to the FAE placement only (--mode=fae): "
         "the baseline has no hot/cold partition, so there is no cold store "
         "to quantize");
-  }
-  if (options_.sharding != ShardingMode::kReplicate) {
-    return Status::InvalidArgument(
-        "--sharding applies to the FAE placement only (--mode=fae): the "
-        "baseline keeps every embedding on the CPU, so there is no hot "
-        "slice to shard");
   }
   FAE_RETURN_IF_ERROR(ValidateStaleOptions(options_));
   if (options_.stale_skip == StaleSkipMode::kCold) {
@@ -862,8 +802,8 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
   report.demoted_rows = p.demoted_rows;
   report.fallback_inputs = p.fallback_inputs;
 
-  // Each class is gathered once into a flat buffer (same seeded shuffles
-  // the MiniBatch packer used); pure hot/cold batches are views into it.
+  // Each class is shuffled and gathered once into a flat buffer; pure
+  // hot/cold batches are views into it.
   InputProcessor::PackedFlat packed =
       InputProcessor::PackFlat(dataset, p.inputs, options_.seed);
   std::vector<TrainBatch> hot_batches =
@@ -873,97 +813,9 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
   report.hot_batches = hot_batches.size();
   report.cold_batches = cold_batches.size();
 
-  // Sharded hot-slice placement (TrainOptions::sharding): plan it from the
-  // calibration access profile against the *post-degrade* hot set, then
-  // precompute each hot batch's traffic split once — the overlay prices
-  // every hot step against it below. Pure cost model: the replicas keep
-  // holding the full slice and math never changes.
   OverlapTracker tracker(options_.pipeline, options_.pipeline_depth,
                          &report.timeline);
   Overlays overlays(accountant_, tracker);
-  const bool sharded = options_.sharding != ShardingMode::kReplicate;
-  if (sharded) {
-    const AccessProfile& profile = p.calibration.profile;
-    if (profile.num_tables() != schema.num_tables()) {
-      return Status::InvalidArgument(
-          "--sharding=lpt|statistical needs a fresh plan: plans loaded "
-          "from the FAE-format cache carry no per-row access profile for "
-          "the planner to consume (re-run calibration without --plan)");
-    }
-    const int world = std::max(1, system_.WorldSize());
-    StatusOr<ShardedPlacement> placement =
-        options_.sharding == ShardingMode::kLpt
-            ? ShardPlanner::PlanLpt(profile, p.hot_set, world)
-            : ShardPlanner::PlanStatistical(
-                  profile, p.hot_set,
-                  ShardPlannerOptions{world, /*replicate_mass_fraction=*/0.85,
-                                      /*replicate_byte_cap=*/0,
-                                      schema.embedding_dim});
-    FAE_RETURN_IF_ERROR(placement.status());
-    overlays.placement = std::move(placement).value();
-    overlays.hot_bytes = p.hot_bytes;
-    overlays.replicated_bytes =
-        overlays.placement.ReplicatedBytes(schema.embedding_dim);
-    uint64_t shard_rows_total = 0;
-    for (uint64_t r : overlays.placement.device_rows) shard_rows_total += r;
-    overlays.shard_bytes_total =
-        shard_rows_total * schema.embedding_dim * sizeof(float);
-    overlays.max_shard_bytes =
-        overlays.placement.MaxShardBytes(schema.embedding_dim);
-    report.sharding_imbalance = overlays.placement.Imbalance();
-    report.sharding_replicated_rows = overlays.placement.replicated_rows;
-    report.sharding_replicated_bytes = overlays.replicated_bytes;
-    report.sharding_max_shard_bytes = overlays.max_shard_bytes;
-
-    // Per-batch traffic splits. Lookups count every reference; the touched
-    // splits count unique rows (the sparse-optimizer payload), mirroring
-    // BatchWork's lookup/touched distinction.
-    const uint64_t row_b = schema.embedding_dim * sizeof(float);
-    std::vector<uint64_t> dev_lookups(world);
-    std::vector<uint64_t> dev_touched(world);
-    std::vector<uint32_t> uniq;
-    overlays.traffic.reserve(hot_batches.size());
-    for (const TrainBatch& batch : hot_batches) {
-      std::fill(dev_lookups.begin(), dev_lookups.end(), 0);
-      std::fill(dev_touched.begin(), dev_touched.end(), 0);
-      uint64_t rep_lookups = 0;
-      uint64_t rep_touched = 0;
-      for (size_t t = 0; t < schema.num_tables(); ++t) {
-        const std::span<const uint32_t> rows = batch.view.indices(t);
-        for (uint32_t row : rows) {
-          if (overlays.placement.IsReplicated(t, row)) {
-            ++rep_lookups;
-          } else {
-            const int d = overlays.placement.DeviceOf(t, row);
-            ++dev_lookups[d < 0 ? 0 : d];
-          }
-        }
-        uniq.assign(rows.begin(), rows.end());
-        std::sort(uniq.begin(), uniq.end());
-        uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-        for (uint32_t row : uniq) {
-          if (overlays.placement.IsReplicated(t, row)) {
-            ++rep_touched;
-          } else {
-            const int d = overlays.placement.DeviceOf(t, row);
-            ++dev_touched[d < 0 ? 0 : d];
-          }
-        }
-      }
-      StepAccountant::ShardedStepTraffic traffic;
-      traffic.replicated_lookup_bytes = rep_lookups * row_b;
-      traffic.replicated_touched_bytes = rep_touched * row_b;
-      for (int d = 0; d < world; ++d) {
-        traffic.sharded_lookup_bytes += dev_lookups[d] * row_b;
-        traffic.sharded_touched_bytes += dev_touched[d] * row_b;
-        traffic.max_device_lookup_bytes = std::max(
-            traffic.max_device_lookup_bytes, dev_lookups[d] * row_b);
-        traffic.max_device_touched_bytes = std::max(
-            traffic.max_device_touched_bytes, dev_touched[d] * row_b);
-      }
-      overlays.traffic.push_back(traffic);
-    }
-  }
 
   const EvalSet eval_set =
       options_.run_math ? exec_.MakeEvalSet(dataset, split) : EvalSet{};
@@ -1209,11 +1061,11 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
     return CheckpointIo::Save(ckpt.path, ck, *model_);
   };
 
-  // Hot-slice syncs at the chunk boundaries. Each charges the transfer,
-  // prices its sharded variant, and counts the bytes. A sync ships the
-  // whole slice under kFull, on the first replication, and once nearly
-  // everything is dirty (hot rows are frequently touched by construction,
-  // and a wholesale copy avoids the per-row index overhead); otherwise
+  // Hot-slice syncs at the chunk boundaries. Each charges the transfer
+  // and counts the bytes. A sync ships the whole slice under kFull, on the
+  // first replication, and once nearly everything is dirty (hot rows are
+  // frequently touched by construction, and a wholesale copy avoids the
+  // per-row index overhead); otherwise
   // only the dirty rows.
   auto pull_to_gpus = [&] {
     uint64_t bytes = master_dirty.TotalTouched() * row_bytes;
@@ -1221,7 +1073,6 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
         !dirty_sync || !replica_initialized || bytes >= p.hot_bytes;
     if (whole) bytes = p.hot_bytes;
     accountant_.ChargeSyncToGpus(bytes, report.timeline);
-    if (sharded) overlays.ShardedSync(/*to_gpus=*/true, bytes);
     report.sync_bytes += bytes;
     if (options_.run_math) {
       if (whole) {
@@ -1240,7 +1091,6 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
     const bool whole = !dirty_sync || bytes >= p.hot_bytes;
     if (whole) bytes = p.hot_bytes;
     accountant_.ChargeSyncToCpu(bytes, report.timeline);
-    if (sharded) overlays.ShardedSync(/*to_gpus=*/false, bytes);
     report.sync_bytes += bytes;
     if (options_.run_math) {
       if (whole) {
@@ -1339,9 +1189,6 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
           const double step_seconds =
               report.timeline.PhaseSumSeconds() - before;
           tracker.OnStep(prep, step_seconds, step_seconds);
-          if (sharded) {
-            overlays.ShardedHotStep(hot_batches[i].work, i, step_seconds);
-          }
           if (options_.run_math) {
             exec_.MathStep(*math_view, replica_tables, metric, window);
           }

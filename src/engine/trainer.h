@@ -19,7 +19,6 @@
 #include "models/rec_model.h"
 #include "sim/cost_model.h"
 #include "sim/fault_injector.h"
-#include "sim/partition.h"
 #include "util/statusor.h"
 
 namespace fae {
@@ -117,16 +116,6 @@ struct TrainOptions {
   /// modes. Mutually exclusive with fp16_embeddings and the oracle cache
   /// (their budget accounting assumes fp32 cold rows).
   ColdPrecision cold_precision = ColdPrecision::kFp32;
-  /// Multi-GPU layout of the hot embedding slice (FAE only; see
-  /// core/shard_planner.h). kReplicate is the paper's scheme; kLpt and
-  /// kStatistical shard the slice across the cluster's GPUs and reprice
-  /// every hot step and sync against the placement. Pure cost-model
-  /// overlay like the cache knobs — math always reads the CPU master, so
-  /// losses, tables, and checkpoint bytes are bit-identical across modes
-  /// and the knob is fingerprint-exempt. Non-replicate modes need a fresh
-  /// plan (the planner consumes the calibration access profile, which
-  /// cached plans do not carry).
-  ShardingMode sharding = ShardingMode::kReplicate;
   /// Stale-embedding update skipping (engine/staleness_tracker.h,
   /// ROADMAP item 1 / arXiv 2404.04270): rows whose relative-update EMA
   /// settles below stale_threshold freeze — their scatter + optimizer
@@ -135,11 +124,11 @@ struct TrainOptions {
   /// trend. kCold freezes only cold rows (requires the FAE placement —
   /// the baseline has no hot set); kAll may freeze any row. Requires
   /// run_math (skip decisions read real update magnitudes) and the fused
-  /// fp32 path (mutually exclusive with fp16_embeddings). Like the
-  /// cache/sharding knobs, the real timeline's charges never change with
-  /// the knob and tracker state travels inside the checkpoint, so all
-  /// three fields are fingerprint-exempt: a resume may switch modes, and
-  /// same-mode resume is bit-exact.
+  /// fp32 path (mutually exclusive with fp16_embeddings). Like the cache
+  /// knobs, the real timeline's charges never change with the knob and
+  /// tracker state travels inside the checkpoint, so all three fields are
+  /// fingerprint-exempt: a resume may switch modes, and same-mode resume
+  /// is bit-exact.
   StaleSkipMode stale_skip = StaleSkipMode::kOff;
   /// EMA freeze threshold (>= 0). 0 never skips — the guard only scales
   /// the threshold, so a zero stays zero and the run is bit-identical to
@@ -212,22 +201,10 @@ struct TrainReport {
   /// Budget the hot slice was admitted against: hot_embedding_budget plus
   /// the realized plan's reclaimed bytes (equals the plain budget at fp32).
   uint64_t effective_hot_budget = 0;
-  /// Sharded hot-slice placement (TrainOptions::sharding; all zero and
-  /// imbalance 0 when kReplicate). Net seconds the placement removed from
-  /// the modeled wall vs full replication — negative when it lost (LPT
-  /// usually does). Like the overlap/cache savings, not checkpointed.
-  double sharding_saved_seconds = 0.0;
-  /// Expected per-device lookup-mass imbalance of the placement (max/mean,
-  /// >= 1.0; ShardedPlacement::Imbalance).
-  double sharding_imbalance = 0.0;
-  uint64_t sharding_replicated_rows = 0;
-  uint64_t sharding_replicated_bytes = 0;
-  /// Largest single-device shard (rows the bottleneck owner holds).
-  uint64_t sharding_max_shard_bytes = 0;
   /// Stale-update skipping (TrainOptions::stale_skip; all zero when off).
   /// Net seconds the elided scatter/optimizer work removed from the
-  /// modeled wall. Like the overlap/cache/sharding savings, not
-  /// checkpointed — a resumed run counts savings from the restore point.
+  /// modeled wall. Like the overlap/cache savings, not checkpointed — a
+  /// resumed run counts savings from the restore point.
   double stale_skip_saved_seconds = 0.0;
   uint64_t stale_skipped_rows = 0;
   uint64_t stale_updated_rows = 0;

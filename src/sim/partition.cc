@@ -46,78 +46,4 @@ Partition PartitionLpt(const std::vector<uint64_t>& weights, int num_bins) {
   return p;
 }
 
-std::string_view ShardingModeName(ShardingMode mode) {
-  switch (mode) {
-    case ShardingMode::kReplicate:
-      return "replicate";
-    case ShardingMode::kLpt:
-      return "lpt";
-    case ShardingMode::kStatistical:
-      return "statistical";
-  }
-  return "unknown";
-}
-
-bool ParseShardingMode(std::string_view name, ShardingMode* out) {
-  if (name == "replicate") {
-    *out = ShardingMode::kReplicate;
-  } else if (name == "lpt") {
-    *out = ShardingMode::kLpt;
-  } else if (name == "statistical") {
-    *out = ShardingMode::kStatistical;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool ShardedPlacement::IsReplicated(size_t table, uint32_t row) const {
-  if (table < all_replicated.size() && all_replicated[table]) return true;
-  if (table >= replicated.size()) return false;
-  const std::vector<uint8_t>& mask = replicated[table];
-  return row < mask.size() && mask[row] != 0;
-}
-
-int ShardedPlacement::DeviceOf(size_t table, uint32_t row) const {
-  if (table >= cuts.size() || cuts[table].empty()) return -1;
-  const std::vector<uint32_t>& c = cuts[table];
-  // c has num_devices + 1 ascending entries; find d with c[d] <= row <
-  // c[d+1]. Rows past the last cut clamp to the last device.
-  const auto it = std::upper_bound(c.begin(), c.end(), row);
-  const int d = static_cast<int>(it - c.begin()) - 1;
-  return std::clamp(d, 0, num_devices - 1);
-}
-
-double ShardedPlacement::Imbalance() const {
-  if (device_mass.empty()) return 1.0;
-  // Replicated lookups are served locally on every device, so each device
-  // carries an equal 1/N share of that mass on top of its own shards.
-  const double rep_share = static_cast<double>(replicated_mass) /
-                           static_cast<double>(device_mass.size());
-  double total = 0.0;
-  double mx = 0.0;
-  for (uint64_t m : device_mass) {
-    const double load = static_cast<double>(m) + rep_share;
-    total += load;
-    mx = std::max(mx, load);
-  }
-  if (total <= 0.0) return 1.0;
-  const double mean = total / static_cast<double>(device_mass.size());
-  return mx / mean;
-}
-
-uint64_t ShardedPlacement::ReplicatedBytes(size_t dim) const {
-  return replicated_rows * dim * sizeof(float);
-}
-
-uint64_t ShardedPlacement::MaxShardRows() const {
-  uint64_t mx = 0;
-  for (uint64_t r : device_rows) mx = std::max(mx, r);
-  return mx;
-}
-
-uint64_t ShardedPlacement::MaxShardBytes(size_t dim) const {
-  return MaxShardRows() * dim * sizeof(float);
-}
-
 }  // namespace fae

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 namespace fae {
@@ -27,62 +26,6 @@ struct Partition {
 /// recommendation systems use to shard embedding tables across devices
 /// (guaranteed within 4/3 of the optimal makespan).
 Partition PartitionLpt(const std::vector<uint64_t>& weights, int num_bins);
-
-/// How the trainer lays the hot embedding slice out across the cluster's
-/// GPUs (TrainOptions::sharding, `fae train --sharding=`).
-enum class ShardingMode : int {
-  kReplicate = 0,  // full replica on every GPU (the PR-8 status quo)
-  kLpt,            // whole tables LPT-sharded by expected lookup mass
-  kStatistical,    // hottest rows replicated, warm rows range-sharded by
-                   // CDF mass (RecShard-style, core/shard_planner.h)
-};
-
-std::string_view ShardingModeName(ShardingMode mode);
-/// Parses "replicate" / "lpt" / "statistical"; returns false otherwise.
-bool ParseShardingMode(std::string_view name, ShardingMode* out);
-
-/// Where each hot embedding row lives under --sharding=lpt|statistical:
-/// a per-table map from row ranges to owning devices plus a replicated-row
-/// bitmap, with the expected lookup mass (calibration access counts) each
-/// device serves. Cold rows stay CPU-resident and are not described here.
-struct ShardedPlacement {
-  ShardingMode mode = ShardingMode::kReplicate;
-  int num_devices = 1;
-
-  /// Per-table row cuts, ascending, num_devices + 1 entries: sharded rows
-  /// in [cuts[d], cuts[d+1]) belong to device d. Empty when the table has
-  /// no sharded rows (fully replicated or fully cold).
-  std::vector<std::vector<uint32_t>> cuts;
-  /// Per-table replicated-row bitmap (1 byte per row, matching the HotSet
-  /// mask layout). Empty for tables covered by `all_replicated`.
-  std::vector<std::vector<uint8_t>> replicated;
-  /// Per-table flag: 1 = the whole table is replicated on every device
-  /// (small all-hot tables get no bitmap).
-  std::vector<uint8_t> all_replicated;
-
-  /// Expected lookup mass (summed access counts) over the sharded rows
-  /// each device owns, and over the replicated set (served locally on
-  /// every device, so it spreads evenly across the batch shards).
-  std::vector<uint64_t> device_mass;
-  std::vector<uint64_t> device_rows;
-  uint64_t replicated_mass = 0;
-  uint64_t replicated_rows = 0;
-
-  size_t num_tables() const { return cuts.size(); }
-  bool IsReplicated(size_t table, uint32_t row) const;
-  /// Owning device of a sharded row, -1 when the table has no shard map.
-  /// Check IsReplicated first: replicated rows live everywhere.
-  int DeviceOf(size_t table, uint32_t row) const;
-
-  /// max / mean of the expected per-device lookup mass, counting each
-  /// device's equal 1/N share of the replicated mass. 1.0 is perfectly
-  /// balanced; >= 1.0 always (1.0 when nothing is placed).
-  double Imbalance() const;
-
-  uint64_t ReplicatedBytes(size_t dim) const;
-  uint64_t MaxShardRows() const;
-  uint64_t MaxShardBytes(size_t dim) const;
-};
 
 }  // namespace fae
 

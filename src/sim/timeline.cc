@@ -89,13 +89,6 @@ std::string Timeline::Report() const {
         HumanBytes(cache_counters_.prefetch_bytes).c_str(),
         HumanBytes(cache_counters_.writeback_bytes).c_str());
   }
-  const double sharding = credit(Credit::kSharding);
-  if (sharding != 0.0) {
-    out += StrFormat("  sharded placement %s %s vs replicate\n",
-                     sharding > 0.0 ? "saved" : "cost",
-                     HumanSeconds(sharding > 0.0 ? sharding : -sharding)
-                         .c_str());
-  }
   if (stale_skip_counters_.skipped_rows + stale_skip_counters_.updated_rows >
       0) {
     const double touched =

@@ -31,11 +31,12 @@ std::string_view PhaseName(Phase phase);
 /// charges. Every overlay keeps the real phase charges untouched and
 /// records what it saves (or, signed negative, costs) here, so the
 /// per-phase breakdown and the checkpointed State stay identical with any
-/// overlay on or off. Credits are summed in enum order.
+/// overlay on or off. Credits are summed in enum order; adding or
+/// removing a kind whose credit is always +0.0 leaves every
+/// PhaseSumSeconds() - CreditSum() bit-identical (x + 0.0 == x).
 enum class Credit : int {
   kOverlap = 0,  // pipelined overlap (--pipeline; DESIGN.md §11)
   kCache,        // lookahead oracle cache (--cache; §13)
-  kSharding,     // sharded hot-slice placement (--sharding; §15)
   kStaleSkip,    // stale-update skipping (--stale-skip; §16)
   kNumCredits,
 };
@@ -50,8 +51,8 @@ class Timeline {
   ///
   /// Deliberately excludes the credit ledger (AddCredit) and the overlay
   /// counters: phase charges are identical with every overlay on or off,
-  /// so checkpoints are byte-identical across --pipeline, --cache,
-  /// --sharding and --stale-skip modes and a resume may switch them
+  /// so checkpoints are byte-identical across --pipeline, --cache and
+  /// --stale-skip modes and a resume may switch them
   /// (DESIGN.md §11). The cost: a resumed run's credits restart from zero,
   /// so it reports a higher modeled wall than the same run uninterrupted.
   struct State {
@@ -99,9 +100,8 @@ class Timeline {
   }
 
   /// The credit ledger: modeled seconds an overlay removed from the wall.
-  /// Signed — whole-table LPT sharding typically *loses* to replication,
-  /// cache boundary writebacks cost DMA the plain run never pays — and the
-  /// net is honest, not clamped per event.
+  /// Signed — cache boundary writebacks cost DMA the plain run never pays
+  /// — and the net is honest, not clamped per event.
   void AddCredit(Credit credit, double seconds) {
     credits_[static_cast<int>(credit)] += seconds;
   }

@@ -1,9 +1,13 @@
 #include "core/input_processor.h"
 
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/calibrator.h"
 #include "core/embedding_classifier.h"
+#include "data/batch_view.h"
 #include "data/synthetic.h"
 
 namespace fae {
@@ -91,19 +95,33 @@ TEST_P(BatchPurityTest, PackedBatchesArePure) {
                                              h_zt, 1 << 12);
   InputProcessor proc(2);
   ProcessedInputs inputs = proc.Classify(p.dataset, hot, p.AllIds());
-  auto packed = InputProcessor::Pack(p.dataset, inputs, 64, /*seed=*/9);
+  const InputProcessor::PackedFlat packed =
+      InputProcessor::PackFlat(p.dataset, inputs, /*seed=*/9);
+  ASSERT_EQ(packed.hot.size(), inputs.hot_ids.size());
+  ASSERT_EQ(packed.cold.size(), inputs.cold_ids.size());
 
   size_t total = 0;
-  for (const MiniBatch& b : packed.hot) {
+  for (const BatchView& b : MakeBatchViews(packed.hot, 64, /*hot=*/true)) {
     EXPECT_TRUE(b.hot);
     total += b.batch_size();
-    for (size_t t = 0; t < b.indices.size(); ++t) {
-      for (uint32_t row : b.indices[t]) EXPECT_TRUE(hot.IsHot(t, row));
+    for (size_t t = 0; t < b.num_tables(); ++t) {
+      for (uint32_t row : b.indices(t)) EXPECT_TRUE(hot.IsHot(t, row));
     }
   }
-  for (const MiniBatch& b : packed.cold) {
+  for (const BatchView& b : MakeBatchViews(packed.cold, 64, /*hot=*/false)) {
     EXPECT_FALSE(b.hot);
     total += b.batch_size();
+    // Every cold sample carries at least one cold lookup.
+    for (size_t i = 0; i < b.batch_size(); ++i) {
+      bool any_cold = false;
+      for (size_t t = 0; t < b.num_tables(); ++t) {
+        const std::span<const uint32_t> offsets = b.offsets(t);
+        for (uint32_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+          any_cold |= !hot.IsHot(t, b.indices(t)[k - offsets[0]]);
+        }
+      }
+      EXPECT_TRUE(any_cold) << "cold batch sample " << i << " is all hot";
+    }
   }
   EXPECT_EQ(total, p.dataset.size());
 }
@@ -137,12 +155,23 @@ TEST(InputProcessorTest, PackRespectsBatchSize) {
       EmbeddingClassifier::Classify(p.profile, p.dataset.schema(), 3, 1 << 12);
   ProcessedInputs inputs =
       InputProcessor(2).Classify(p.dataset, hot, p.AllIds());
-  auto packed = InputProcessor::Pack(p.dataset, inputs, 128, 1);
-  for (size_t i = 0; i + 1 < packed.hot.size(); ++i) {
-    EXPECT_EQ(packed.hot[i].batch_size(), 128u);
-  }
-  for (size_t i = 0; i + 1 < packed.cold.size(); ++i) {
-    EXPECT_EQ(packed.cold[i].batch_size(), 128u);
+  const InputProcessor::PackedFlat packed =
+      InputProcessor::PackFlat(p.dataset, inputs, 1);
+  for (const FlatDataset* flat : {&packed.hot, &packed.cold}) {
+    const std::vector<BatchView> views =
+        MakeBatchViews(*flat, 128, flat == &packed.hot);
+    ASSERT_EQ(views.size(), (flat->size() + 127) / 128);
+    size_t total = 0;
+    for (size_t i = 0; i < views.size(); ++i) {
+      if (i + 1 < views.size()) {
+        EXPECT_EQ(views[i].batch_size(), 128u);
+      } else {
+        EXPECT_GE(views[i].batch_size(), 1u);
+        EXPECT_LE(views[i].batch_size(), 128u);
+      }
+      total += views[i].batch_size();
+    }
+    EXPECT_EQ(total, flat->size());
   }
 }
 
@@ -153,9 +182,12 @@ TEST(InputProcessorTest, EmptyInputListYieldsNothing) {
   ProcessedInputs out = InputProcessor(2).Classify(p.dataset, hot, {});
   EXPECT_TRUE(out.hot_ids.empty());
   EXPECT_TRUE(out.cold_ids.empty());
-  auto packed = InputProcessor::Pack(p.dataset, out, 64, 1);
-  EXPECT_TRUE(packed.hot.empty());
-  EXPECT_TRUE(packed.cold.empty());
+  const InputProcessor::PackedFlat packed =
+      InputProcessor::PackFlat(p.dataset, out, 1);
+  EXPECT_EQ(packed.hot.size(), 0u);
+  EXPECT_EQ(packed.cold.size(), 0u);
+  EXPECT_TRUE(MakeBatchViews(packed.hot, 64, /*hot=*/true).empty());
+  EXPECT_TRUE(MakeBatchViews(packed.cold, 64, /*hot=*/false).empty());
 }
 
 }  // namespace

@@ -1,8 +1,13 @@
 #include "core/embedding_replicator.h"
 
+#include <algorithm>
+#include <span>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/input_processor.h"
+#include "data/batch_view.h"
 #include "data/synthetic.h"
 
 namespace fae {
@@ -107,34 +112,53 @@ TEST(ReplicatorTest, PushRoundTripsUpdates) {
   }
 }
 
+/// The fixture's inputs, classified against its hot set and packed.
+InputProcessor::PackedFlat PackAll(const Fixture& f) {
+  std::vector<uint64_t> all_ids(f.dataset.size());
+  for (size_t i = 0; i < all_ids.size(); ++i) all_ids[i] = i;
+  const ProcessedInputs inputs =
+      InputProcessor(1).Classify(f.dataset, f.hot, all_ids);
+  return InputProcessor::PackFlat(f.dataset, inputs, 1);
+}
+
 TEST(ReplicatorTest, TranslateRewritesHotBatch) {
   Fixture f;
   EmbeddingReplicator rep(f.masters, f.hot);
-  InputProcessor proc(1);
-  std::vector<uint64_t> all_ids(f.dataset.size());
-  for (size_t i = 0; i < all_ids.size(); ++i) all_ids[i] = i;
-  ProcessedInputs inputs = proc.Classify(f.dataset, f.hot, all_ids);
-  ASSERT_GT(inputs.hot_ids.size(), 0u);
-  auto packed = InputProcessor::Pack(f.dataset, inputs, 32, 1);
-  ASSERT_FALSE(packed.hot.empty());
+  const InputProcessor::PackedFlat packed = PackAll(f);
+  ASSERT_GT(packed.hot.size(), 0u);
 
-  auto translated = rep.TranslateBatch(packed.hot[0]);
+  auto translated = rep.TranslateFlat(packed.hot);
   ASSERT_TRUE(translated.ok()) << translated.status().ToString();
-  for (size_t t = 0; t < translated->indices.size(); ++t) {
-    ASSERT_EQ(translated->indices[t].size(), packed.hot[0].indices[t].size());
-    for (size_t j = 0; j < translated->indices[t].size(); ++j) {
-      EXPECT_EQ(rep.RowOf(t, translated->indices[t][j]),
-                packed.hot[0].indices[t][j]);
+  const std::vector<BatchView> master =
+      MakeBatchViews(packed.hot, 32, /*hot=*/true);
+  const std::vector<BatchView> replica =
+      MakeBatchViews(*translated, 32, /*hot=*/true);
+  ASSERT_EQ(master.size(), replica.size());
+  for (size_t b = 0; b < master.size(); ++b) {
+    ASSERT_EQ(replica[b].num_tables(), master[b].num_tables());
+    for (size_t t = 0; t < master[b].num_tables(); ++t) {
+      const std::span<const uint32_t> slots = replica[b].indices(t);
+      const std::span<const uint32_t> rows = master[b].indices(t);
+      ASSERT_EQ(slots.size(), rows.size());
+      for (size_t j = 0; j < rows.size(); ++j) {
+        EXPECT_EQ(rep.RowOf(t, slots[j]), rows[j]);
+      }
+      EXPECT_TRUE(std::equal(replica[b].offsets(t).begin(),
+                             replica[b].offsets(t).end(),
+                             master[b].offsets(t).begin(),
+                             master[b].offsets(t).end()));
     }
-    EXPECT_EQ(translated->offsets[t], packed.hot[0].offsets[t]);
+    EXPECT_TRUE(std::equal(replica[b].labels.begin(),
+                           replica[b].labels.end(),
+                           master[b].labels.begin(), master[b].labels.end()));
   }
-  EXPECT_EQ(translated->labels, packed.hot[0].labels);
 }
 
 TEST(ReplicatorTest, TranslateRejectsColdLookup) {
   Fixture f;
   EmbeddingReplicator rep(f.masters, f.hot);
-  // Build a fake batch pointing at a cold row of the largest table.
+  // One sample whose only cold lookup is a cold row of table 0; every
+  // other table looks up one of its hot rows.
   uint32_t cold_row = 0;
   bool found = false;
   for (uint32_t r = 0; r < f.masters[0].rows() && !found; ++r) {
@@ -144,15 +168,26 @@ TEST(ReplicatorTest, TranslateRejectsColdLookup) {
     }
   }
   ASSERT_TRUE(found);
-  MiniBatch batch;
-  batch.dense = Tensor(1, f.schema.num_dense);
-  batch.indices.assign(f.schema.num_tables(), {0});
-  batch.indices[0] = {cold_row};
-  batch.offsets.assign(f.schema.num_tables(), {0, 1});
-  batch.labels = {1.0f};
-  auto translated = rep.TranslateBatch(batch);
+  FlatDataset planted(f.schema);
+  for (size_t k = 0; k < f.schema.num_dense; ++k) planted.AppendDense(0.0f);
+  planted.AppendLookup(0, cold_row);
+  for (size_t t = 1; t < f.schema.num_tables(); ++t) {
+    ASSERT_GT(f.hot.HotCount(t), 0u);
+    planted.AppendLookup(t, static_cast<uint32_t>(rep.RowOf(t, 0)));
+  }
+  planted.FinishSample(1.0f);
+  auto translated = rep.TranslateFlat(planted);
   ASSERT_FALSE(translated.ok());
   EXPECT_EQ(translated.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(translated.status().message().find(
+                "table 0, row " + std::to_string(cold_row)),
+            std::string::npos)
+      << translated.status().ToString();
+
+  // The packer's cold class is rejected as a whole.
+  const InputProcessor::PackedFlat packed = PackAll(f);
+  ASSERT_GT(packed.cold.size(), 0u);
+  EXPECT_FALSE(rep.TranslateFlat(packed.cold).ok());
 }
 
 }  // namespace

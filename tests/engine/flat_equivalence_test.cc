@@ -83,8 +83,9 @@ void RunEquivalence(WorkloadKind kind) {
   }
   ExpectSameTables(*legacy, *flat);
 
-  // Eval: the BatchView overload must agree with the MiniBatch one.
-  const EvalResult el = Evaluate(*legacy, batches);
+  // Eval: views of the legacy MiniBatches must agree with the flat views.
+  const EvalResult el = Evaluate(
+      *legacy, std::vector<BatchView>(batches.begin(), batches.end()));
   const EvalResult ef = Evaluate(*flat, views);
   EXPECT_EQ(el.loss, ef.loss);
   EXPECT_EQ(el.accuracy, ef.accuracy);

@@ -220,8 +220,8 @@ TEST(TrainerTest, MetricsEvaluateCountsCorrectly) {
   Fixture f;
   auto model = f.NewModel();
   std::vector<uint64_t> ids = {0, 1, 2, 3, 4, 5, 6, 7};
-  auto batches = AssembleBatches(f.dataset, ids, 3, false);
-  EvalResult r = Evaluate(*model, batches);
+  const FlatDataset flat = f.dataset.flat().Gather(ids);
+  EvalResult r = Evaluate(*model, MakeBatchViews(flat, 3, /*hot=*/false));
   EXPECT_EQ(r.samples, 8u);
   EXPECT_GE(r.accuracy, 0.0);
   EXPECT_LE(r.accuracy, 1.0);

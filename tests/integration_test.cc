@@ -83,8 +83,9 @@ TEST(IntegrationTest, FullWorkflowEndToEnd) {
             0.0f);
 
   // 7) And its evaluation metrics must match the training-side report.
-  auto batches = AssembleBatches(*loaded, split.test, 128, false);
-  EvalResult eval = Evaluate(*served, batches);
+  const FlatDataset test_flat = loaded->flat().Gather(split.test);
+  EvalResult eval =
+      Evaluate(*served, MakeBatchViews(test_flat, 128, /*hot=*/false));
   EXPECT_GT(eval.auc, 0.5);  // learned something
 
   for (const auto& p : {data_path, plan_path, ckpt_path}) {

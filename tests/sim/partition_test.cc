@@ -145,50 +145,5 @@ TEST(PartitionTest, WithinFourThirdsOfBruteForceOptimal) {
   }
 }
 
-TEST(ShardingModeTest, NamesRoundTrip) {
-  for (ShardingMode mode : {ShardingMode::kReplicate, ShardingMode::kLpt,
-                            ShardingMode::kStatistical}) {
-    ShardingMode parsed;
-    ASSERT_TRUE(ParseShardingMode(ShardingModeName(mode), &parsed));
-    EXPECT_EQ(parsed, mode);
-  }
-  ShardingMode parsed;
-  EXPECT_FALSE(ParseShardingMode("hash", &parsed));
-  EXPECT_FALSE(ParseShardingMode("", &parsed));
-}
-
-TEST(ShardedPlacementTest, DeviceOfFollowsCuts) {
-  ShardedPlacement p;
-  p.mode = ShardingMode::kStatistical;
-  p.num_devices = 3;
-  p.cuts = {{0, 4, 10, 20}};
-  p.replicated = {{}};
-  p.all_replicated = {0};
-  EXPECT_EQ(p.DeviceOf(0, 0), 0);
-  EXPECT_EQ(p.DeviceOf(0, 3), 0);
-  EXPECT_EQ(p.DeviceOf(0, 4), 1);
-  EXPECT_EQ(p.DeviceOf(0, 9), 1);
-  EXPECT_EQ(p.DeviceOf(0, 10), 2);
-  EXPECT_EQ(p.DeviceOf(0, 19), 2);
-}
-
-TEST(ShardedPlacementTest, ImbalanceCountsReplicatedShare) {
-  ShardedPlacement p;
-  p.num_devices = 2;
-  p.device_mass = {30, 10};
-  p.replicated_mass = 0;
-  EXPECT_DOUBLE_EQ(p.Imbalance(), 1.5);  // 30 / 20
-  // A large replicated mass is served 1/N per device, evening things out.
-  p.replicated_mass = 120;
-  EXPECT_DOUBLE_EQ(p.Imbalance(), 90.0 / 80.0);  // (30+60) / (20+60)
-}
-
-TEST(ShardedPlacementTest, EmptyPlacementIsBalanced) {
-  ShardedPlacement p;
-  p.num_devices = 4;
-  p.device_mass = {0, 0, 0, 0};
-  EXPECT_DOUBLE_EQ(p.Imbalance(), 1.0);
-}
-
 }  // namespace
 }  // namespace fae

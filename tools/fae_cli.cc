@@ -9,8 +9,8 @@
 //   fae train       --data=data.faed [--plan=plan.faef]
 //                   [--mode=baseline|fae|nvopt|model-parallel|cache]
 //                   [--gpus=4] [--nodes=1] [--batch=1024] [--epochs=1]
-//                   [--cost-only]
-//                   [--sharding=replicate|lpt|statistical]
+//                   [--test-frac=0.1] [--cost-only]
+//                   [--budget-kb=384] [--sample-rate=0.05] [--cutoff-kb=4]
 //                   [--threads=1] [--dirty-sync] [--full-model]
 //                   [--pipeline=off|prefetch|overlap] [--pipeline-depth=2]
 //                   [--cache=off|oracle] [--cache-budget-rows=4096]
@@ -27,7 +27,13 @@
 //                   [--cache=off|oracle] [--cache-budget-rows=4096]
 //                   [--cache-lookahead=8] [--cold-precision=fp32|fp16|int8]
 //                   [--threads=1] [--gpus=4] [--serve-config=serve.cfg]
+//                   [--seed=S] [--budget-kb=384] [--sample-rate=0.05]
+//                   [--cutoff-kb=4] [--full-model]
 //                   [--fault-plan=recal-stall@40:3,swap-crash@60,lookup-loss@80x2]
+//
+// Every subcommand refuses a flag it does not read (exit code 2, an error
+// naming the flag) before it does any work, so a misspelt or retired flag
+// never runs silently as the default.
 //
 // The `generate -> preprocess -> train` flow mirrors the paper's once-per-
 // dataset static pass followed by repeated training runs; `serve` replays
@@ -39,9 +45,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/fae_format.h"
@@ -60,6 +69,19 @@ namespace {
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
+}
+
+/// Refuses any flag `command` does not read: a misspelt or retired flag
+/// would otherwise be silently ignored, and the run would pass for the
+/// experiment it was not. Prints one error per unknown flag.
+bool AcceptsOnly(const bench::Args& args, const char* command,
+                 std::initializer_list<std::string_view> accepted) {
+  const std::vector<std::string> unknown = args.UnknownFlags(accepted);
+  for (const std::string& flag : unknown) {
+    std::fprintf(stderr, "error: unknown flag --%s for `fae %s`\n",
+                 flag.c_str(), command);
+  }
+  return unknown.empty();
 }
 
 int Usage() {
@@ -166,20 +188,6 @@ bool ParseColdPrecisionFlag(const bench::Args& args, ColdPrecision* out) {
   return true;
 }
 
-/// Parses --sharding for `train`. An unknown value is an error naming the
-/// expected set, never a silent replicate fallback.
-bool ParseShardingFlag(const bench::Args& args, ShardingMode* out) {
-  const std::string raw = args.GetString("sharding", "replicate");
-  if (!ParseShardingMode(raw, out)) {
-    std::fprintf(stderr,
-                 "error: unknown --sharding '%s' (expected "
-                 "replicate|lpt|statistical)\n",
-                 raw.c_str());
-    return false;
-  }
-  return true;
-}
-
 /// Parses the --stale-skip triple for `train`. An unknown mode is an
 /// error; so is giving a tuning flag while skipping stays off — a
 /// silently ignored threshold would look like a working experiment.
@@ -234,6 +242,11 @@ WorkloadKind ParseWorkload(const std::string& name) {
 }
 
 int Generate(const bench::Args& args) {
+  if (!AcceptsOnly(args, "generate",
+                   {"out", "workload", "scale", "inputs", "seed", "zipf",
+                    "drift"})) {
+    return 2;
+  }
   const std::string out = args.GetString("out", "");
   if (out.empty()) return Usage();
   const WorkloadKind kind = ParseWorkload(args.GetString("workload", "kaggle"));
@@ -260,6 +273,7 @@ int Generate(const bench::Args& args) {
 }
 
 int Inspect(const bench::Args& args) {
+  if (!AcceptsOnly(args, "inspect", {"data"})) return 2;
   const std::string path = args.GetString("data", "");
   if (path.empty()) return Usage();
   auto dataset = DatasetIo::Load(path);
@@ -282,6 +296,10 @@ int Inspect(const bench::Args& args) {
 }
 
 int Preprocess(const bench::Args& args) {
+  if (!AcceptsOnly(args, "preprocess",
+                   {"data", "out", "sample-rate", "budget-kb", "cutoff-kb"})) {
+    return 2;
+  }
   const std::string data_path = args.GetString("data", "");
   const std::string out = args.GetString("out", "");
   if (data_path.empty() || out.empty()) return Usage();
@@ -306,6 +324,17 @@ int Preprocess(const bench::Args& args) {
 }
 
 int Train(const bench::Args& args) {
+  if (!AcceptsOnly(
+          args, "train",
+          {"data", "plan", "mode", "gpus", "nodes", "batch", "epochs",
+           "test-frac", "cost-only", "budget-kb", "sample-rate", "cutoff-kb",
+           "threads", "dirty-sync", "full-model", "pipeline",
+           "pipeline-depth", "cache", "cache-budget-rows", "cache-lookahead",
+           "cold-precision", "stale-skip", "stale-threshold",
+           "stale-min-visits", "ckpt", "ckpt-every", "resume",
+           "fault-plan"})) {
+    return 2;
+  }
   const std::string data_path = args.GetString("data", "");
   if (data_path.empty()) return Usage();
   auto dataset = DatasetIo::Load(data_path);
@@ -408,7 +437,6 @@ int Train(const bench::Args& args) {
   const int nodes = static_cast<int>(nodes_flag);
   SystemSpec system = nodes > 1 ? MakeMultiNodeCluster(nodes, gpus)
                                 : MakePaperServer(gpus);
-  if (!ParseShardingFlag(args, &options.sharding)) return 2;
 
   FaeConfig config;
   config.sample_rate = args.GetDouble("sample-rate", 0.05);
@@ -427,13 +455,6 @@ int Train(const bench::Args& args) {
                  "error: --cold-precision applies to --mode=fae only "
                  "(mode '%s' has no hot/cold partition, so there is no "
                  "cold store to quantize)\n",
-                 mode.c_str());
-    return 2;
-  }
-  if (options.sharding != ShardingMode::kReplicate && mode != "fae") {
-    std::fprintf(stderr,
-                 "error: --sharding applies to --mode=fae only (mode '%s' "
-                 "has no planner-owned hot slice to shard)\n",
                  mode.c_str());
     return 2;
   }
@@ -533,22 +554,6 @@ int Train(const bench::Args& args) {
         "fae: hot inputs %.1f%%, %zu transitions, synced %s, final R(%.0f)\n",
         100 * report.hot_fraction, report.transitions,
         HumanBytes(report.sync_bytes).c_str(), report.final_rate);
-    if (options.sharding != ShardingMode::kReplicate) {
-      std::printf(
-          "sharding %s over %d device(s): %s %s vs replicate, imbalance "
-          "%.3f, replicated %llu rows (%s), max shard %s\n",
-          std::string(ShardingModeName(options.sharding)).c_str(),
-          system.WorldSize(),
-          report.sharding_saved_seconds >= 0.0 ? "saved" : "cost",
-          HumanSeconds(report.sharding_saved_seconds >= 0.0
-                           ? report.sharding_saved_seconds
-                           : -report.sharding_saved_seconds)
-              .c_str(),
-          report.sharding_imbalance,
-          static_cast<unsigned long long>(report.sharding_replicated_rows),
-          HumanBytes(report.sharding_replicated_bytes).c_str(),
-          HumanBytes(report.sharding_max_shard_bytes).c_str());
-    }
     if (options.cold_precision != ColdPrecision::kFp32) {
       std::printf(
           "cold store %s: %llu rows in %s, reclaimed %s, effective hot "
@@ -614,6 +619,16 @@ int Train(const bench::Args& args) {
 }
 
 int Serve(const bench::Args& args) {
+  if (!AcceptsOnly(
+          args, "serve",
+          {"data", "plan", "swap", "batch", "batches", "slo", "ema-alpha",
+           "recal-window", "recal-cooldown", "deadline-ms", "recal-retries",
+           "backoff-ms", "no-train", "cache", "cache-budget-rows",
+           "cache-lookahead", "cold-precision", "threads", "gpus",
+           "serve-config", "seed", "budget-kb", "sample-rate", "cutoff-kb",
+           "full-model", "fault-plan"})) {
+    return 2;
+  }
   const std::string data_path = args.GetString("data", "");
   if (data_path.empty()) return Usage();
   auto dataset = DatasetIo::Load(data_path);
