@@ -210,6 +210,9 @@ void WriteJson(const std::string& path, const std::vector<CaseResult>& cases,
 
 int Run(int argc, char** argv) {
   bench::Args args(argc, argv);
+  args.AcceptsOnly("abl_mixed_precision",
+                   {"batch", "budget-kb", "epochs", "gpus", "inputs", "out",
+                    "plan-inputs", "smoke"});
   const bool smoke = args.GetBool("smoke", false);
   const size_t inputs =
       static_cast<size_t>(args.GetNonNegativeInt("inputs", smoke ? 1200 : 4000));

@@ -122,6 +122,9 @@ void WriteJson(const std::string& path, const Suite& s, double hot_fraction,
 
 int Run(int argc, char** argv) {
   bench::Args args(argc, argv);
+  args.AcceptsOnly("abl_pipelined",
+                   {"batch", "budget-kb", "depth", "epochs", "gpus", "inputs",
+                    "out", "smoke", "zipf"});
   Suite s;
   const bool smoke = args.GetBool("smoke", false);
   s.inputs = static_cast<size_t>(args.GetNonNegativeInt("inputs", (long)s.inputs));

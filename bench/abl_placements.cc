@@ -19,6 +19,7 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("abl_placements", {"gpus", "inputs", "scale", "workload"});
   const DatasetScale scale =
       bench::ParseScale(args.GetString("scale", "tiny"));
   const size_t inputs = args.GetNonNegativeInt("inputs", 60000);
@@ -54,7 +55,7 @@ void Run(const bench::Args& args) {
   {
     auto model = MakeModel(dataset.schema(), true, 5);
     Trainer trainer(model.get(), sys, opt);
-    auto mp = trainer.TrainModelParallel(dataset, split);
+    auto mp = trainer.Train(TrainMode::kModelParallel, dataset, split);
     if (mp.ok()) {
       std::printf("%-16s %14s  (speedup %.2fx)\n", "model-parallel",
                   HumanSeconds(mp->modeled_seconds).c_str(),
@@ -67,10 +68,14 @@ void Run(const bench::Args& args) {
   {
     auto model = MakeModel(dataset.schema(), true, 5);
     Trainer trainer(model.get(), sys, opt);
-    TrainReport nv = trainer.TrainNvOpt(dataset, split);
-    std::printf("%-16s %14s  (speedup %.2fx)\n", "nvopt-fp16",
-                HumanSeconds(nv.modeled_seconds).c_str(),
-                base_s / nv.modeled_seconds);
+    auto nv = trainer.Train(TrainMode::kNvOpt, dataset, split);
+    if (nv.ok()) {
+      std::printf("%-16s %14s  (speedup %.2fx)\n", "nvopt-fp16",
+                  HumanSeconds(nv->modeled_seconds).c_str(),
+                  base_s / nv->modeled_seconds);
+    } else {
+      std::printf("%-16s %s\n", "nvopt-fp16", nv.status().ToString().c_str());
+    }
   }
 
   std::printf("\nbudget sweep (FAE vs transparent cache, same hot set):\n");
@@ -100,15 +105,16 @@ void Run(const bench::Args& args) {
     auto fae = fae_trainer.TrainFaeWithPlan(dataset, split, cfg, *plan);
     auto cache_model = MakeModel(dataset.schema(), true, 5);
     Trainer cache_trainer(cache_model.get(), budget_sys, opt);
-    TrainReport cache = cache_trainer.TrainGpuCache(dataset, split, *plan);
-    if (!fae.ok()) continue;
+    auto cache =
+        cache_trainer.Train(TrainMode::kGpuCache, dataset, split, &*plan);
+    if (!fae.ok() || !cache.ok()) continue;
     std::printf("%-12s %11.1f%% %12s %11.2fx %12s %11.2fx\n",
                 HumanBytes(cfg.gpu_memory_budget).c_str(),
                 100 * plan->inputs.HotFraction(),
                 HumanSeconds(fae->modeled_seconds).c_str(),
                 base_s / fae->modeled_seconds,
-                HumanSeconds(cache.modeled_seconds).c_str(),
-                base_s / cache.modeled_seconds);
+                HumanSeconds(cache->modeled_seconds).c_str(),
+                base_s / cache->modeled_seconds);
   }
   std::printf(
       "\nReading: FAE's advantage grows with the hot-input fraction a larger\n"

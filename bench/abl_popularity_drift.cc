@@ -22,6 +22,7 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("abl_popularity_drift", {"gpus", "inputs"});
   const size_t inputs = args.GetNonNegativeInt("inputs", 60000);
   const int gpus = static_cast<int>(args.GetPositiveInt("gpus", 4));
   const DatasetScale scale = DatasetScale::kTiny;

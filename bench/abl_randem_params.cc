@@ -16,6 +16,7 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("abl_randem_params", {"accesses", "h", "rows", "trials"});
   const uint64_t rows = args.GetPositiveInt("rows", 500000);
   const uint64_t accesses = args.GetPositiveInt("accesses", 3000000);
   const uint64_t h_zt = args.GetPositiveInt("h", 10);

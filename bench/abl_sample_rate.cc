@@ -22,6 +22,7 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("abl_sample_rate", {"inputs", "scale", "threshold"});
   const DatasetScale scale =
       bench::ParseScale(args.GetString("scale", "tiny"));
   const size_t inputs = args.GetNonNegativeInt("inputs", 60000);

@@ -17,6 +17,7 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("abl_scheduler_policy", {"epochs", "inputs"});
   const size_t inputs = args.GetNonNegativeInt("inputs", 6000);
   const size_t epochs = args.GetPositiveInt("epochs", 2);
   const DatasetScale scale = DatasetScale::kTiny;

@@ -190,6 +190,8 @@ CaseResult Record(const std::string& driver, const std::string& mode,
 
 int Run(int argc, char** argv) {
   bench::Args args(argc, argv);
+  args.AcceptsOnly("abl_stale_skip",
+                   {"batch", "epochs", "inputs", "min-visits", "out", "smoke"});
   Suite s;
   const bool smoke = args.GetBool("smoke", false);
   if (smoke) {

@@ -18,6 +18,7 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("abl_sync_strategy", {"gpus", "inputs", "scale"});
   const DatasetScale scale =
       bench::ParseScale(args.GetString("scale", "tiny"));
   const size_t inputs = args.GetNonNegativeInt("inputs", 60000);

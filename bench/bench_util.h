@@ -102,16 +102,22 @@ class Args {
     return it->second != "0" && it->second != "false";
   }
 
-  /// Names of the flags given that are not in `accepted`, in name order.
-  std::vector<std::string> UnknownFlags(
-      std::initializer_list<std::string_view> accepted) const {
-    std::vector<std::string> unknown;
+  /// Refuses any flag `program` does not read: a misspelt or retired flag
+  /// would otherwise be silently ignored, and the run would pass for the
+  /// experiment it was not. Prints one error per unknown flag, in name
+  /// order, then exits with code 2.
+  void AcceptsOnly(const char* program,
+                   std::initializer_list<std::string_view> accepted) const {
+    bool ok = true;
     for (const auto& [key, value] : values_) {
-      if (std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
-        unknown.push_back(key);
+      if (std::find(accepted.begin(), accepted.end(), key) != accepted.end()) {
+        continue;
       }
+      std::fprintf(stderr, "error: unknown flag --%s for `%s`\n", key.c_str(),
+                   program);
+      ok = false;
     }
-    return unknown;
+    if (!ok) std::exit(2);
   }
 
  private:

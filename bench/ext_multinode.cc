@@ -139,6 +139,7 @@ std::vector<ContextRow> RunContextTable(DatasetScale scale, size_t inputs,
 
 int Run(int argc, char** argv) {
   bench::Args args(argc, argv);
+  args.AcceptsOnly("ext_multinode", {"gpus", "inputs", "out", "scale"});
   const DatasetScale scale =
       bench::ParseScale(args.GetString("scale", "tiny"));
   const size_t inputs = static_cast<size_t>(

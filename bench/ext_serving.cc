@@ -144,6 +144,8 @@ void WriteJson(const std::string& path, size_t inputs, double drift,
 
 int Run(int argc, char** argv) {
   bench::Args args(argc, argv);
+  args.AcceptsOnly("ext_serving",
+                   {"batch", "drift", "inputs", "out", "slo", "smoke", "swap"});
   const bool smoke = args.GetBool("smoke", false);
   // Deterministic cost-model time + seeded traffic: smoke and full runs
   // are the identical workload (as with abl_pipelined).

@@ -17,6 +17,7 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("fig02_hot_sizes", {"inputs", "scale", "threshold"});
   const DatasetScale scale =
       bench::ParseScale(args.GetString("scale", "small"));
   const size_t inputs = args.GetNonNegativeInt("inputs", 0);

@@ -16,6 +16,7 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("fig04_minibatch_probability", {"seed", "trials"});
   const int trials = static_cast<int>(args.GetPositiveInt("trials", 20000));
   Xoshiro256 rng(args.GetNonNegativeInt("seed", 9));
 

@@ -16,6 +16,7 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("fig06_threshold_sweep", {"inputs", "scale", "workload"});
   const DatasetScale scale =
       bench::ParseScale(args.GetString("scale", "small"));
   const size_t inputs = args.GetNonNegativeInt("inputs", 0);

@@ -21,6 +21,8 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("fig08_sampling_latency",
+                   {"inputs", "rate", "reps", "scale"});
   const DatasetScale scale =
       bench::ParseScale(args.GetString("scale", "small"));
   // Enough inputs that the profiling pass dominates constant-time

@@ -15,6 +15,7 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("fig09_randem_accuracy", {"inputs", "scale"});
   const DatasetScale scale =
       bench::ParseScale(args.GetString("scale", "small"));
   const size_t inputs = args.GetNonNegativeInt("inputs", 0);

@@ -16,6 +16,7 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("fig10_randem_latency", {"inputs", "reps", "scale"});
   const DatasetScale scale =
       bench::ParseScale(args.GetString("scale", "medium"));
   const size_t inputs = args.GetNonNegativeInt("inputs", 20000);

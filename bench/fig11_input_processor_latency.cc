@@ -22,6 +22,8 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("fig11_input_processor_latency",
+                   {"inputs", "scale", "threads"});
   const DatasetScale scale =
       bench::ParseScale(args.GetString("scale", "small"));
   const size_t inputs = args.GetNonNegativeInt("inputs", 30000);

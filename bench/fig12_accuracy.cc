@@ -15,6 +15,8 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("fig12_accuracy",
+                   {"epochs", "full_model", "inputs", "scale"});
   const DatasetScale scale =
       bench::ParseScale(args.GetString("scale", "tiny"));
   const size_t inputs = args.GetNonNegativeInt("inputs", 12000);

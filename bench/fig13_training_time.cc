@@ -18,6 +18,7 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("fig13_training_time", {"epochs", "inputs", "scale"});
   const DatasetScale scale =
       bench::ParseScale(args.GetString("scale", "tiny"));
   // Default to inputs >> table rows, the regime of the paper's datasets

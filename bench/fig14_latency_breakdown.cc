@@ -31,6 +31,7 @@ void PrintBreakdown(const char* label, const Timeline& tl) {
 }
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("fig14_latency_breakdown", {"inputs", "scale"});
   const DatasetScale scale =
       bench::ParseScale(args.GetString("scale", "tiny"));
   // Default to inputs >> table rows, the regime of the paper's datasets

@@ -15,6 +15,7 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("fig15_batch_size_sweep", {"gpus", "inputs", "scale"});
   const DatasetScale scale =
       bench::ParseScale(args.GetString("scale", "tiny"));
   // Default to inputs >> table rows, the regime of the paper's datasets

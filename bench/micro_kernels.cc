@@ -547,6 +547,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Google Benchmark reads its own flags, so the check follows --gbench.
+  args.AcceptsOnly("micro_kernels", {"out", "reps", "smoke"});
   fae::SuiteConfig cfg;
   const bool smoke = args.GetBool("smoke", false);
   if (smoke) {

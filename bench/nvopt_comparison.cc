@@ -18,6 +18,8 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("nvopt_comparison",
+                   {"batch", "capacity_scale", "inputs", "scale"});
   const DatasetScale scale =
       bench::ParseScale(args.GetString("scale", "tiny"));
   // Default to inputs >> table rows, the regime of the paper's datasets
@@ -68,19 +70,19 @@ void Run(const bench::Args& args) {
 
     auto nv_model = MakeModel(dataset.schema(), true, 5);
     Trainer nv_trainer(nv_model.get(), sys, opt);
-    TrainReport nv = nv_trainer.TrainNvOpt(dataset, split);
+    auto nv = nv_trainer.Train(TrainMode::kNvOpt, dataset, split);
 
     auto fae_model = MakeModel(dataset.schema(), true, 5);
     Trainer fae_trainer(fae_model.get(), sys, opt);
     auto fae = fae_trainer.TrainFaeWithPlan(dataset, split, cfg, *plan);
-    if (!fae.ok()) continue;
+    if (!nv.ok() || !fae.ok()) continue;
 
     std::printf("%-22s %14s %14s %14s %11.2fx\n",
                 std::string(WorkloadName(kind)).c_str(),
                 HumanSeconds(base.modeled_seconds).c_str(),
-                HumanSeconds(nv.modeled_seconds).c_str(),
+                HumanSeconds(nv->modeled_seconds).c_str(),
                 HumanSeconds(fae->modeled_seconds).c_str(),
-                nv.modeled_seconds / fae->modeled_seconds);
+                nv->modeled_seconds / fae->modeled_seconds);
   }
   std::printf(
       "\nPaper reference: FAE is 1.48x faster than NvOPT on *Terabyte*\n"

@@ -385,6 +385,8 @@ void AddPair(std::vector<StageResult>& results, const std::string& stage,
 
 int Run(int argc, char** argv) {
   bench::Args args(argc, argv);
+  args.AcceptsOnly("pipeline_throughput",
+                   {"batch", "epochs", "inputs", "out", "reps", "smoke"});
   SuiteConfig cfg;
   const bool smoke = args.GetBool("smoke", false);
   if (smoke) {

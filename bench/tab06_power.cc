@@ -15,6 +15,7 @@ namespace fae {
 namespace {
 
 void Run(const bench::Args& args) {
+  args.AcceptsOnly("tab06_power", {"gpus", "inputs", "scale"});
   const DatasetScale scale =
       bench::ParseScale(args.GetString("scale", "tiny"));
   // Default to inputs >> table rows, the regime of the paper's datasets

@@ -122,3 +122,11 @@ add_test(NAME bench_serving_smoke
   COMMAND ext_serving --smoke
     --out=${CMAKE_BINARY_DIR}/bench/BENCH_serving_smoke.json
     --swap=${CMAKE_BINARY_DIR}/bench/BENCH_serving_swap.faef)
+
+# Every bench binary refuses a flag it does not read (bench::AcceptsOnly),
+# so a misspelt knob never runs silently as the default.
+add_test(NAME bench_rejects_unknown_flags
+  COMMAND ${CMAKE_COMMAND} -DPROGRAM=$<TARGET_FILE:ext_multinode>
+    "-DARGS=--shard-inputs=5" -DEXPECT_CODE=2
+    "-DEXPECT_STDERR=unknown flag --shard-inputs for `ext_multinode`"
+    -P ${CMAKE_SOURCE_DIR}/tools/expect_cli_error.cmake)

@@ -22,8 +22,9 @@ StatusOr<FaePlan> FaePipeline::Prepare(
   plan.hot_access_share = plan.hot_set.HotAccessShare(calibration.profile);
 
   InputProcessor processor(config_.num_threads);
+  // The calibration record (per-row profile, threshold sweep) dies here:
+  // nothing downstream reads it, and a plan outlives many steps.
   plan.inputs = processor.Classify(dataset, plan.hot_set, train_ids);
-  plan.calibration = std::move(calibration);
   return plan;
 }
 

@@ -26,8 +26,6 @@ struct FaePlan {
   /// Share of sampled accesses landing on hot entries (paper: 75-92%);
   /// zero when the plan was loaded from cache (no profile retained).
   double hot_access_share = 0.0;
-  /// Fresh runs carry the full calibration record (sweep, timings).
-  CalibrationResult calibration;
   bool from_cache = false;
 
   /// Set by DegradePlanToBudget: the plan was shrunk to fit a tighter

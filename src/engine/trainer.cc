@@ -48,29 +48,6 @@ StepExecutor::Options ExecOptions(const TrainOptions& options) {
   return exec;
 }
 
-/// The oracle cache's demands on the run configuration, shared by the
-/// baseline and FAE paths (and mirrored by the CLI's early rejection).
-Status ValidateCacheOptions(const TrainOptions& options) {
-  if (options.cache == CacheMode::kOff) return Status::OK();
-  if (options.pipeline == PipelineMode::kOff) {
-    return Status::InvalidArgument(
-        "--cache=oracle requires a pipelined run (--pipeline=prefetch or "
-        "overlap): the oracle window is the batch pipeline's forward "
-        "visibility into staged batches");
-  }
-  if (options.cache_budget_rows < 1) {
-    return Status::InvalidArgument(
-        "--cache-budget-rows must be at least 1");
-  }
-  if (options.cache_lookahead < kMinRingDepth ||
-      options.cache_lookahead > kMaxRingDepth) {
-    return Status::InvalidArgument(StrFormat(
-        "--cache-lookahead must be in [%zu, %zu]", kMinRingDepth,
-        kMaxRingDepth));
-  }
-  return Status::OK();
-}
-
 LookaheadCache::Options CacheOptions(const TrainOptions& options,
                                      uint64_t row_bytes) {
   return {.budget_rows = options.cache_budget_rows,
@@ -81,58 +58,6 @@ LookaheadCache::Options CacheOptions(const TrainOptions& options,
 StalenessTracker::Options StaleOptions(const TrainOptions& options) {
   return {.threshold = options.stale_threshold,
           .min_visits = static_cast<uint32_t>(options.stale_min_visits)};
-}
-
-/// Demands of the quantized cold store (TrainOptions::cold_precision),
-/// mirrored by the CLI's early rejection. Combinations whose budget or
-/// traffic accounting assumes fp32 cold rows are errors, not silent
-/// fallbacks.
-Status ValidateColdOptions(const TrainOptions& options) {
-  if (options.cold_precision == ColdPrecision::kFp32) return Status::OK();
-  if (options.fp16_embeddings) {
-    return Status::InvalidArgument(
-        "--cold-precision and --fp16-embeddings are mutually exclusive: "
-        "fp16 emulation rounds rows through the fp32 tables that the "
-        "quantized cold store no longer holds");
-  }
-  if (options.cache != CacheMode::kOff) {
-    return Status::InvalidArgument(
-        "--cold-precision cannot be combined with --cache=oracle: the "
-        "cache's budget and transfer accounting assume fp32 cold rows, so "
-        "the two would double-count the reclaimed bytes");
-  }
-  return Status::OK();
-}
-
-/// Demands of stale-update skipping (TrainOptions::stale_skip), mirrored
-/// by the CLI's early rejection. The mode restriction (kCold needs the FAE
-/// placement) is checked per driver — it depends on which trainer runs.
-Status ValidateStaleOptions(const TrainOptions& options) {
-  if (options.stale_skip == StaleSkipMode::kOff) return Status::OK();
-  if (!options.run_math) {
-    return Status::InvalidArgument(
-        "--stale-skip requires real math: skip decisions read measured "
-        "per-row update magnitudes, which cost-only runs never produce");
-  }
-  if (options.fp16_embeddings) {
-    return Status::InvalidArgument(
-        "--stale-skip and --fp16-embeddings are mutually exclusive: fp16 "
-        "emulation materializes gradients outside the fused path that "
-        "measures per-row update magnitudes");
-  }
-  if (options.cache != CacheMode::kOff) {
-    return Status::InvalidArgument(
-        "--stale-skip cannot be combined with --cache=oracle: both "
-        "reprice the same cold-step charges against the plain step, so "
-        "their savings would double-count");
-  }
-  if (options.stale_threshold < 0.0) {
-    return Status::InvalidArgument("--stale-threshold must be >= 0");
-  }
-  if (options.stale_min_visits < 1) {
-    return Status::InvalidArgument("--stale-min-visits must be at least 1");
-  }
-  return Status::OK();
 }
 
 /// The cost overlays (DESIGN.md §13, §16) as pricing routines. Each
@@ -258,16 +183,132 @@ std::string_view TrainModeName(TrainMode mode) {
   return "unknown";
 }
 
+Status ValidateTrainOptions(TrainMode mode, const TrainOptions& options,
+                            const SystemSpec& system) {
+  const bool fae = mode == TrainMode::kFae;
+  const bool comparator = !fae && mode != TrainMode::kBaseline;
+  const std::string name(TrainModeName(mode));
+  if (options.per_gpu_batch < 1) {
+    return Status::InvalidArgument("--batch must be at least 1");
+  }
+  if (options.epochs < 1) {
+    return Status::InvalidArgument("--epochs must be at least 1");
+  }
+  FAE_RETURN_IF_ERROR(
+      ValidateRingDepth(static_cast<long long>(options.pipeline_depth),
+                        "--pipeline-depth")
+          .status());
+  if (comparator && system.num_nodes > 1) {
+    return Status::InvalidArgument(StrFormat(
+        "--nodes=%d needs --mode=baseline or --mode=fae: the %s comparator "
+        "models a single node",
+        system.num_nodes, name.c_str()));
+  }
+  if (!fae && options.sync_strategy == SyncStrategy::kDirty) {
+    return Status::InvalidArgument(StrFormat(
+        "--dirty-sync applies to --mode=fae only: the %s placement keeps no "
+        "GPU replica of a hot slice to sync",
+        name.c_str()));
+  }
+
+  // The lookahead oracle cache (DESIGN.md §13).
+  if (options.cache != CacheMode::kOff) {
+    if (comparator) {
+      return Status::InvalidArgument(StrFormat(
+          "--cache=oracle applies to --mode=baseline or --mode=fae only: "
+          "the %s comparator has no pipelined hybrid path to accelerate",
+          name.c_str()));
+    }
+    if (options.pipeline == PipelineMode::kOff) {
+      return Status::InvalidArgument(
+          "--cache=oracle requires a pipelined run (--pipeline=prefetch or "
+          "overlap): the oracle window is the batch pipeline's forward "
+          "visibility into staged batches");
+    }
+    if (options.cache_budget_rows < 1) {
+      return Status::InvalidArgument(
+          "--cache-budget-rows must be at least 1");
+    }
+    FAE_RETURN_IF_ERROR(
+        ValidateRingDepth(static_cast<long long>(options.cache_lookahead),
+                          "--cache-lookahead")
+            .status());
+  }
+
+  // The quantized cold store (DESIGN.md §14). Combinations whose budget or
+  // traffic accounting assumes fp32 cold rows are errors, not silent
+  // fallbacks.
+  if (options.cold_precision != ColdPrecision::kFp32) {
+    if (!fae) {
+      return Status::InvalidArgument(StrFormat(
+          "--cold-precision applies to --mode=fae only: the %s placement "
+          "has no hot/cold partition, so there is no cold store to quantize",
+          name.c_str()));
+    }
+    if (options.fp16_embeddings) {
+      return Status::InvalidArgument(
+          "--cold-precision and --fp16-embeddings are mutually exclusive: "
+          "fp16 emulation rounds rows through the fp32 tables that the "
+          "quantized cold store no longer holds");
+    }
+    if (options.cache != CacheMode::kOff) {
+      return Status::InvalidArgument(
+          "--cold-precision cannot be combined with --cache=oracle: the "
+          "cache's budget and transfer accounting assume fp32 cold rows, so "
+          "the two would double-count the reclaimed bytes");
+    }
+  }
+
+  // Stale-update skipping (DESIGN.md §16).
+  if (options.stale_skip != StaleSkipMode::kOff) {
+    if (comparator) {
+      return Status::InvalidArgument(StrFormat(
+          "--stale-skip applies to --mode=baseline or --mode=fae only: the "
+          "%s comparator runs no fused CPU sparse step for the tracker to "
+          "ride",
+          name.c_str()));
+    }
+    if (!fae && options.stale_skip == StaleSkipMode::kCold) {
+      return Status::InvalidArgument(StrFormat(
+          "--stale-skip=cold applies to --mode=fae only: the %s placement "
+          "has no hot/cold partition, so there is no hot set to pin live "
+          "(use --stale-skip=all)",
+          name.c_str()));
+    }
+    if (!options.run_math) {
+      return Status::InvalidArgument(
+          "--stale-skip requires real math: skip decisions read measured "
+          "per-row update magnitudes, which cost-only runs never produce");
+    }
+    if (options.fp16_embeddings) {
+      return Status::InvalidArgument(
+          "--stale-skip and --fp16-embeddings are mutually exclusive: fp16 "
+          "emulation materializes gradients outside the fused path that "
+          "measures per-row update magnitudes");
+    }
+    if (options.cache != CacheMode::kOff) {
+      return Status::InvalidArgument(
+          "--stale-skip cannot be combined with --cache=oracle: both "
+          "reprice the same cold-step charges against the plain step, so "
+          "their savings would double-count");
+    }
+    if (options.stale_threshold < 0.0) {
+      return Status::InvalidArgument("--stale-threshold must be >= 0");
+    }
+    if (options.stale_min_visits < 1) {
+      return Status::InvalidArgument("--stale-min-visits must be at least 1");
+    }
+  }
+  return Status::OK();
+}
+
 Trainer::Trainer(RecModel* model, SystemSpec system, TrainOptions options)
     : model_(model),
       system_(std::move(system)),
       cost_(system_),
       accountant_(&cost_),
       options_(options),
-      exec_(model, ExecOptions(options)) {
-  FAE_CHECK_GE(options_.per_gpu_batch, 1u);
-  FAE_CHECK_GE(options_.epochs, 1u);
-}
+      exec_(model, ExecOptions(options)) {}
 
 uint64_t Trainer::OptionsFingerprint() const {
   uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
@@ -441,23 +482,120 @@ TrainReport Trainer::TrainBaseline(const Dataset& dataset,
 
 StatusOr<TrainReport> Trainer::TrainBaselineResumable(
     const Dataset& dataset, const Dataset::Split& split) {
-  FAE_RETURN_IF_ERROR(ValidateCacheOptions(options_));
-  if (options_.cold_precision != ColdPrecision::kFp32) {
+  return Train(TrainMode::kBaseline, dataset, split);
+}
+
+StatusOr<TrainReport> Trainer::Train(TrainMode mode, const Dataset& dataset,
+                                     const Dataset::Split& split,
+                                     const FaePlan* hot_set) {
+  if (mode == TrainMode::kFae) {
     return Status::InvalidArgument(
-        "--cold-precision applies to the FAE placement only (--mode=fae): "
-        "the baseline has no hot/cold partition, so there is no cold store "
-        "to quantize");
+        "the FAE placement runs on its hot/cold schedule (TrainFae), not "
+        "the shuffled-order driver");
   }
-  FAE_RETURN_IF_ERROR(ValidateStaleOptions(options_));
-  if (options_.stale_skip == StaleSkipMode::kCold) {
+  if (mode == TrainMode::kGpuCache && hot_set == nullptr) {
     return Status::InvalidArgument(
-        "--stale-skip=cold applies to the FAE placement only (--mode=fae): "
-        "the baseline has no hot/cold partition, so there is no hot set to "
-        "pin live");
+        "the gpu-cache comparator needs a plan whose hot set fills its "
+        "cache");
   }
-  exec_.MaybeQuantizeTables();
+  FAE_RETURN_IF_ERROR(ValidateTrainOptions(mode, options_, system_));
+  return TrainShuffled(mode, dataset, split, hot_set);
+}
+
+StatusOr<TrainReport> Trainer::TrainShuffled(TrainMode mode,
+                                             const Dataset& dataset,
+                                             const Dataset::Split& split,
+                                             const FaePlan* hot_set) {
+  const DatasetSchema& schema = dataset.schema();
   TrainReport report;
-  report.mode = TrainMode::kBaseline;
+  report.mode = mode;
+  // Per-mode setup: what each comparator's step pricer reads.
+  // NvOPT: greedy fp16 placement, largest tables first, into 80% of GPU
+  // memory — access-oblivious, per the paper's characterization of NvOPT.
+  std::vector<bool> nvopt_on_gpu;
+  if (mode == TrainMode::kNvOpt) {
+    std::vector<size_t> order(schema.num_tables());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return schema.TableBytes(a) > schema.TableBytes(b);
+    });
+    nvopt_on_gpu.assign(schema.num_tables(), false);
+    uint64_t budget = static_cast<uint64_t>(0.8 * system_.gpu.mem_capacity);
+    for (size_t t : order) {
+      const uint64_t fp16_bytes = schema.TableBytes(t) / 2;
+      if (fp16_bytes <= budget) {
+        nvopt_on_gpu[t] = true;
+        budget -= fp16_bytes;
+      }
+    }
+  }
+  // Model-parallel: tables sharded with the LPT heuristic; the *largest
+  // realized shard* (not the balanced ideal) must fit, with 20% headroom
+  // for activations and the dense model. A single table larger than a GPU
+  // can make this impossible regardless of the GPU count — the paper's
+  // capacity argument.
+  if (mode == TrainMode::kModelParallel) {
+    std::vector<uint64_t> table_bytes(schema.num_tables());
+    for (size_t t = 0; t < schema.num_tables(); ++t) {
+      table_bytes[t] = schema.TableBytes(t);
+    }
+    const Partition partition =
+        PartitionLpt(table_bytes, std::max(1, system_.num_gpus));
+    if (partition.MaxWeight() >
+        static_cast<uint64_t>(0.8 * system_.gpu.mem_capacity)) {
+      return Status::ResourceExhausted(StrFormat(
+          "model-parallel shard (%s on the fullest GPU) exceeds GPU memory "
+          "(%s)",
+          HumanBytes(partition.MaxWeight()).c_str(),
+          HumanBytes(system_.gpu.mem_capacity).c_str()));
+    }
+  }
+  // GPU cache: the plan's hot rows are the (fixed) cache contents; each
+  // step splits its lookups into hits and misses against them.
+  const uint64_t row_bytes = schema.embedding_dim * sizeof(float);
+  std::vector<uint32_t> miss_rows;
+  if (mode == TrainMode::kGpuCache) {
+    report.hot_bytes = hot_set->hot_bytes;
+    report.threshold = hot_set->threshold;
+  }
+  // Prices one step on the real timeline. Comparator steps carry no
+  // CPU/GPU lane split (like FAE's hot steps), so the whole step is one
+  // serial lane and --pipeline hides only their input prep.
+  auto charge_step = [&](const BatchView& view, const BatchWork& work)
+      -> StepAccountant::BaselineParts {
+    if (mode == TrainMode::kBaseline) {
+      return accountant_.ChargeBaselineStep(work, report.timeline);
+    }
+    const double before = report.timeline.PhaseSumSeconds();
+    if (mode == TrainMode::kNvOpt) {
+      accountant_.ChargeNvOptStep(work, nvopt_on_gpu, schema.embedding_dim,
+                                  view.batch_size(), report.timeline);
+    } else if (mode == TrainMode::kModelParallel) {
+      accountant_.ChargeModelParallelStep(work, report.timeline);
+    } else {  // kGpuCache
+      uint64_t hits = 0, misses = 0, miss_touched = 0;
+      for (size_t t = 0; t < schema.num_tables(); ++t) {
+        miss_rows.clear();
+        for (uint32_t row : view.indices(t)) {
+          if (hot_set->hot_set.IsHot(t, row)) {
+            ++hits;
+          } else {
+            ++misses;
+            miss_rows.push_back(row);
+          }
+        }
+        std::sort(miss_rows.begin(), miss_rows.end());
+        miss_touched += static_cast<uint64_t>(
+            std::unique(miss_rows.begin(), miss_rows.end()) -
+            miss_rows.begin());
+      }
+      accountant_.ChargeCacheStep(work, hits * row_bytes, misses * row_bytes,
+                                  miss_touched * row_bytes, report.timeline);
+    }
+    return {.serial = report.timeline.PhaseSumSeconds() - before};
+  };
+
+  exec_.MaybeQuantizeTables();
   const bool pipelined = options_.pipeline != PipelineMode::kOff;
   const bool cache_on = options_.cache == CacheMode::kOracle;
 
@@ -518,9 +656,9 @@ StatusOr<TrainReport> Trainer::TrainBaselineResumable(
   std::vector<EmbeddingTable*> tables;
   for (EmbeddingTable& t : model_->tables()) tables.push_back(&t);
 
-  // Stale-update skipping (kAll only here; kCold was rejected above). The
-  // tracker rides inside every fused step; the overlay prices what it
-  // elided.
+  // Stale-update skipping (baseline kAll only; ValidateTrainOptions
+  // refuses the rest). The tracker rides inside every fused step; the
+  // overlay prices what it elided.
   const bool stale_on = options_.stale_skip != StaleSkipMode::kOff;
   StalenessTracker staleness;
   if (stale_on) {
@@ -547,7 +685,7 @@ StatusOr<TrainReport> Trainer::TrainBaselineResumable(
           "resume requested but no checkpoint path was given");
     }
     const CheckpointIo::Expectation expect{
-        static_cast<uint32_t>(TrainMode::kBaseline), dataset_fp, options_fp};
+        static_cast<uint32_t>(mode), dataset_fp, options_fp};
     FAE_ASSIGN_OR_RETURN(TrainerCheckpoint ck,
                          CheckpointIo::Load(ckpt.path, *model_, &expect));
     // Replay the shuffles consumed up to the save point — the initial id
@@ -577,8 +715,8 @@ StatusOr<TrainReport> Trainer::TrainBaselineResumable(
     if (options_.fault_injector != nullptr) {
       options_.fault_injector->SkipUntil(ck.iteration);
     }
-    FAE_LOG(Info) << "resumed baseline training from " << ckpt.path
-                  << " at iteration " << ck.iteration;
+    FAE_LOG(Info) << "resumed " << TrainModeName(mode) << " training from "
+                  << ckpt.path << " at iteration " << ck.iteration;
   }
 
   uint64_t next_save = 0;
@@ -587,7 +725,7 @@ StatusOr<TrainReport> Trainer::TrainBaselineResumable(
   }
   auto save_checkpoint = [&](size_t epoch, size_t batch_in_epoch) -> Status {
     TrainerCheckpoint ck;
-    ck.mode = static_cast<uint32_t>(TrainMode::kBaseline);
+    ck.mode = static_cast<uint32_t>(mode);
     ck.dataset_fingerprint = dataset_fp;
     ck.options_fingerprint = options_fp;
     ck.epoch = epoch;
@@ -615,7 +753,6 @@ StatusOr<TrainReport> Trainer::TrainBaselineResumable(
   if (cache_on) {
     // Same per-row payload the FAE sync machinery ships: the embedding
     // vector plus the optimizer's row index word.
-    const DatasetSchema& schema = dataset.schema();
     overlays.cache.Init(
         schema.table_rows,
         CacheOptions(options_, schema.embedding_dim * sizeof(float) +
@@ -680,11 +817,10 @@ StatusOr<TrainReport> Trainer::TrainBaselineResumable(
         work = &batches[b].work;
       }
       // Identical charges in every pipeline mode — staging cost plus the
-      // hybrid step; pipelined modes then credit back what overlap hid.
+      // step; pipelined modes then credit back what overlap hid.
       const double prep = accountant_.ChargeInputPrep(BatchInputBytes(*view),
                                                       report.timeline);
-      const StepAccountant::BaselineParts parts =
-          accountant_.ChargeBaselineStep(*work, report.timeline);
+      const StepAccountant::BaselineParts parts = charge_step(*view, *work);
       tracker.OnStep(prep, parts.Total(), parts.Overlapped());
       if (cache_on) {
         overlays.CacheStep(*work, parts);
@@ -736,9 +872,7 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
                                                 const Dataset::Split& split,
                                                 const FaeConfig& config,
                                                 const FaePlan& plan) {
-  FAE_RETURN_IF_ERROR(ValidateCacheOptions(options_));
-  FAE_RETURN_IF_ERROR(ValidateColdOptions(options_));
-  FAE_RETURN_IF_ERROR(ValidateStaleOptions(options_));
+  FAE_RETURN_IF_ERROR(ValidateTrainOptions(TrainMode::kFae, options_, system_));
   if (config.cold_precision != options_.cold_precision) {
     return Status::InvalidArgument(
         "FaeConfig::cold_precision and TrainOptions::cold_precision "
@@ -945,7 +1079,7 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
     report.curve = ck.curve;
     // Stale-skip reconciliation (the knob is fingerprint-exempt): keep-on
     // restores the tracker verbatim, turn-on starts fresh, turn-off
-    // ignores the stored section. See TrainBaselineResumable.
+    // ignores the stored section. See TrainShuffled.
     if (stale_on && ck.has_staleness) staleness.Restore(ck.staleness);
     iteration = ck.iteration;
     report.num_batches = ck.iteration;
@@ -1307,207 +1441,6 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
     }
   }
   finalize();
-  return report;
-}
-
-TrainReport Trainer::TrainNvOpt(const Dataset& dataset,
-                                const Dataset::Split& split) {
-  FAE_CHECK_EQ(system_.num_nodes, 1)
-      << "the NvOPT comparator models a single node";
-  FAE_CHECK(options_.cold_precision == ColdPrecision::kFp32)
-      << "--cold-precision applies to the FAE placement only";
-  exec_.MaybeQuantizeTables();
-  TrainReport report;
-  report.mode = TrainMode::kNvOpt;
-
-  // Greedy fp16 placement, largest tables first, into 80% of GPU memory —
-  // access-oblivious, per the paper's characterization of NvOPT.
-  const DatasetSchema& schema = dataset.schema();
-  std::vector<size_t> order(schema.num_tables());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return schema.TableBytes(a) > schema.TableBytes(b);
-  });
-  std::vector<bool> on_gpu(schema.num_tables(), false);
-  uint64_t budget = static_cast<uint64_t>(0.8 * system_.gpu.mem_capacity);
-  for (size_t t : order) {
-    const uint64_t fp16_bytes = schema.TableBytes(t) / 2;
-    if (fp16_bytes <= budget) {
-      on_gpu[t] = true;
-      budget -= fp16_bytes;
-    }
-  }
-
-  std::vector<uint64_t> ids = split.train;
-  Xoshiro256 rng(options_.seed);
-  for (size_t i = ids.size(); i > 1; --i) {
-    std::swap(ids[i - 1], ids[rng.NextBounded(i)]);
-  }
-  const FlatDataset train_flat = dataset.flat().Gather(ids);
-  std::vector<TrainBatch> batches =
-      exec_.MakeTrainBatches(train_flat, GlobalBatchSize(), /*hot=*/false);
-  const EvalSet eval_set =
-      options_.run_math ? exec_.MakeEvalSet(dataset, split) : EvalSet{};
-  std::vector<EmbeddingTable*> tables;
-  for (EmbeddingTable& t : model_->tables()) tables.push_back(&t);
-
-  RunningMetric metric;
-  RunningMetric metric2;
-  for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    // Same per-epoch reshuffle as the baseline (see TrainModelParallel).
-    for (size_t i = batches.size(); i > 1; --i) {
-      std::swap(batches[i - 1], batches[rng.NextBounded(i)]);
-    }
-    for (const TrainBatch& batch : batches) {
-      accountant_.ChargeNvOptStep(batch.work, on_gpu, schema.embedding_dim,
-                                  batch.view.batch_size(), report.timeline);
-      if (options_.run_math) exec_.MathStep(batch.view, tables, metric, metric2);
-      ++report.num_batches;
-    }
-  }
-  FinishReport(report, eval_set.views, metric);
-  return report;
-}
-
-StatusOr<TrainReport> Trainer::TrainModelParallel(
-    const Dataset& dataset, const Dataset::Split& split) {
-  FAE_CHECK_EQ(system_.num_nodes, 1)
-      << "the model-parallel comparator models a single node";
-  if (options_.cold_precision != ColdPrecision::kFp32) {
-    return Status::InvalidArgument(
-        "--cold-precision applies to the FAE placement only");
-  }
-  const DatasetSchema& schema = dataset.schema();
-  const int g = std::max(1, system_.num_gpus);
-  // Shard tables with the LPT heuristic; the *largest realized shard*
-  // (not the balanced ideal) must fit, with 20% headroom for activations
-  // and the dense model. A single table larger than a GPU can make this
-  // impossible regardless of g — the paper's capacity argument.
-  std::vector<uint64_t> table_bytes(schema.num_tables());
-  for (size_t t = 0; t < schema.num_tables(); ++t) {
-    table_bytes[t] = schema.TableBytes(t);
-  }
-  const Partition partition = PartitionLpt(table_bytes, g);
-  if (partition.MaxWeight() >
-      static_cast<uint64_t>(0.8 * system_.gpu.mem_capacity)) {
-    return Status::ResourceExhausted(StrFormat(
-        "model-parallel shard (%s on the fullest GPU) exceeds GPU memory "
-        "(%s)",
-        HumanBytes(partition.MaxWeight()).c_str(),
-        HumanBytes(system_.gpu.mem_capacity).c_str()));
-  }
-
-  TrainReport report;
-  report.mode = TrainMode::kModelParallel;
-  std::vector<uint64_t> ids = split.train;
-  Xoshiro256 rng(options_.seed);
-  for (size_t i = ids.size(); i > 1; --i) {
-    std::swap(ids[i - 1], ids[rng.NextBounded(i)]);
-  }
-  const FlatDataset train_flat = dataset.flat().Gather(ids);
-  std::vector<TrainBatch> batches =
-      exec_.MakeTrainBatches(train_flat, GlobalBatchSize(), /*hot=*/false);
-  const EvalSet eval_set =
-      options_.run_math ? exec_.MakeEvalSet(dataset, split) : EvalSet{};
-  std::vector<EmbeddingTable*> tables;
-  for (EmbeddingTable& t : model_->tables()) tables.push_back(&t);
-
-  RunningMetric metric;
-  RunningMetric window;
-  for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    // Same per-epoch reshuffle as the baseline, so identical seeds give
-    // identical batch orders (and identical math) across placements.
-    for (size_t i = batches.size(); i > 1; --i) {
-      std::swap(batches[i - 1], batches[rng.NextBounded(i)]);
-    }
-    for (const TrainBatch& batch : batches) {
-      accountant_.ChargeModelParallelStep(batch.work, report.timeline);
-      if (options_.run_math) exec_.MathStep(batch.view, tables, metric, window);
-      ++report.num_batches;
-    }
-  }
-  FinishReport(report, eval_set.views, metric);
-  return report;
-}
-
-TrainReport Trainer::TrainGpuCache(const Dataset& dataset,
-                                   const Dataset::Split& split,
-                                   const FaePlan& plan) {
-  FAE_CHECK_EQ(system_.num_nodes, 1)
-      << "the GPU-cache comparator models a single node";
-  FAE_CHECK(options_.cold_precision == ColdPrecision::kFp32)
-      << "--cold-precision applies to the FAE placement only";
-  TrainReport report;
-  report.mode = TrainMode::kGpuCache;
-  report.hot_bytes = plan.hot_bytes;
-  report.threshold = plan.threshold;
-
-  const DatasetSchema& schema = dataset.schema();
-  const uint64_t row_bytes = schema.embedding_dim * sizeof(float);
-
-  std::vector<uint64_t> ids = split.train;
-  Xoshiro256 rng(options_.seed);
-  for (size_t i = ids.size(); i > 1; --i) {
-    std::swap(ids[i - 1], ids[rng.NextBounded(i)]);
-  }
-  const FlatDataset train_flat = dataset.flat().Gather(ids);
-  std::vector<TrainBatch> batches =
-      exec_.MakeTrainBatches(train_flat, GlobalBatchSize(), /*hot=*/false);
-  const EvalSet eval_set =
-      options_.run_math ? exec_.MakeEvalSet(dataset, split) : EvalSet{};
-  std::vector<EmbeddingTable*> tables;
-  for (EmbeddingTable& t : model_->tables()) tables.push_back(&t);
-
-  // Partition each batch's lookups into cache hits and misses once — the
-  // split depends only on the batch and the (fixed) cache contents.
-  struct CacheCost {
-    uint64_t hit_lookups = 0;
-    uint64_t miss_lookups = 0;
-    uint64_t miss_touched = 0;
-  };
-  std::vector<CacheCost> cache_costs(batches.size());
-  std::vector<uint32_t> miss_scratch;
-  for (size_t b = 0; b < batches.size(); ++b) {
-    CacheCost& cc = cache_costs[b];
-    for (size_t t = 0; t < schema.num_tables(); ++t) {
-      miss_scratch.clear();
-      for (uint32_t row : batches[b].view.indices(t)) {
-        if (plan.hot_set.IsHot(t, row)) {
-          ++cc.hit_lookups;
-        } else {
-          ++cc.miss_lookups;
-          miss_scratch.push_back(row);
-        }
-      }
-      std::sort(miss_scratch.begin(), miss_scratch.end());
-      cc.miss_touched += static_cast<uint64_t>(
-          std::unique(miss_scratch.begin(), miss_scratch.end()) -
-          miss_scratch.begin());
-    }
-  }
-
-  RunningMetric metric;
-  RunningMetric window;
-  for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    // Same per-epoch reshuffle as the baseline (see TrainModelParallel).
-    // Costs travel with their batches.
-    for (size_t i = batches.size(); i > 1; --i) {
-      const size_t j = rng.NextBounded(i);
-      std::swap(batches[i - 1], batches[j]);
-      std::swap(cache_costs[i - 1], cache_costs[j]);
-    }
-    for (size_t b = 0; b < batches.size(); ++b) {
-      const TrainBatch& batch = batches[b];
-      const CacheCost& cc = cache_costs[b];
-      accountant_.ChargeCacheStep(batch.work, cc.hit_lookups * row_bytes,
-                                  cc.miss_lookups * row_bytes,
-                                  cc.miss_touched * row_bytes,
-                                  report.timeline);
-      if (options_.run_math) exec_.MathStep(batch.view, tables, metric, window);
-      ++report.num_batches;
-    }
-  }
-  FinishReport(report, eval_set.views, metric);
   return report;
 }
 

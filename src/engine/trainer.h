@@ -70,8 +70,8 @@ struct TrainOptions {
   /// (bench/abl_mixed_precision.cc).
   bool fp16_embeddings = false;
   uint64_t seed = 7;
-  /// Crash-safe checkpoint/resume (engine/checkpoint.h). Applies to
-  /// TrainBaselineResumable and the FAE paths.
+  /// Crash-safe checkpoint/resume (engine/checkpoint.h). Applies to every
+  /// placement.
   CheckpointOptions checkpoint;
   /// Optional fault-injection schedule (sim/fault_injector.h); not owned,
   /// must outlive the trainer. Faults scheduled for step k fire before the
@@ -227,7 +227,15 @@ struct TrainReport {
   FaultStats faults;
 };
 
-/// Drives training of a RecModel in one of the three placements. Math is
+/// Checks `options` for a run in `mode` on `system` before any work starts:
+/// per-knob ranges plus every pair of modes that does not compose (DESIGN.md
+/// §11). A refusal is InvalidArgument naming both conflicting flags. The
+/// trainer's entry points call it; the CLI calls it before loading data.
+Status ValidateTrainOptions(TrainMode mode, const TrainOptions& options,
+                            const SystemSpec& system);
+
+/// Drives training of a RecModel in one of the five placements: FAE on its
+/// hot/cold schedule, the rest on one shuffled-order driver. Math is
 /// executed for real (accuracy results are measured); time and energy are
 /// charged to the SystemSpec through the StepAccountant.
 class Trainer {
@@ -246,6 +254,22 @@ class Trainer {
   StatusOr<TrainReport> TrainBaselineResumable(const Dataset& dataset,
                                                const Dataset::Split& split);
 
+  /// A shuffled-order placement: the baseline or one of its comparators.
+  /// All share the baseline's batch order, math, input prep, eval curve,
+  /// checkpoint/resume and fault handling; only the step charge differs:
+  ///   - kNvOpt: fp16 embeddings on GPU where they fit (paper §V);
+  ///   - kModelParallel: tables sharded across GPUs, all-to-all per batch.
+  ///     ResourceExhausted when the fullest GPU's shard (plus headroom)
+  ///     exceeds GPU memory — the capacity argument the paper opens with;
+  ///   - kGpuCache: a transparent per-GPU cache holding `hot_set`'s hot
+  ///     rows (FAE's hot slice, same budget), but batches are not
+  ///     reorganized, so misses stall each batch on the CPU.
+  /// `hot_set` is required for kGpuCache and ignored otherwise. kFae runs
+  /// through TrainFae/TrainFaeWithPlan and is refused here.
+  StatusOr<TrainReport> Train(TrainMode mode, const Dataset& dataset,
+                              const Dataset::Split& split,
+                              const FaePlan* hot_set = nullptr);
+
   /// FAE: runs the static pipeline then the hot/cold schedule.
   StatusOr<TrainReport> TrainFae(const Dataset& dataset,
                                  const Dataset::Split& split,
@@ -257,24 +281,6 @@ class Trainer {
                                          const FaeConfig& config,
                                          const FaePlan& plan);
 
-  /// NvOPT-style comparator: fp16 embeddings on GPU where they fit.
-  TrainReport TrainNvOpt(const Dataset& dataset, const Dataset::Split& split);
-
-  /// Model-parallel comparator: tables sharded across GPUs, all-to-all
-  /// per batch. Fails with ResourceExhausted when the per-GPU table shard
-  /// (plus headroom) exceeds GPU memory — the capacity argument the paper
-  /// opens with.
-  StatusOr<TrainReport> TrainModelParallel(const Dataset& dataset,
-                                           const Dataset::Split& split);
-
-  /// Transparent-GPU-cache comparator: the same hot rows FAE would
-  /// replicate live in a per-GPU cache (same budget), but batches are not
-  /// reorganized, so misses stall each batch on the CPU. `plan` supplies
-  /// the hot set (cache contents) for an apples-to-apples comparison.
-  TrainReport TrainGpuCache(const Dataset& dataset,
-                            const Dataset::Split& split,
-                            const FaePlan& plan);
-
   size_t GlobalBatchSize() const {
     return options_.per_gpu_batch *
            static_cast<size_t>(std::max(1, system_.WorldSize()));
@@ -285,6 +291,10 @@ class Trainer {
   /// timeline, stored in checkpoints so a resume with different options is
   /// rejected instead of silently diverging.
   uint64_t OptionsFingerprint() const;
+  /// The shuffled-order driver behind Train, for validated options.
+  StatusOr<TrainReport> TrainShuffled(TrainMode mode, const Dataset& dataset,
+                                      const Dataset::Split& split,
+                                      const FaePlan* hot_set);
   /// Delivers the faults scheduled for `iteration`. Returns true when a
   /// crash fired (the caller must stop and return a partial report), an
   /// error Status when a device fault outlived the retry budget.

@@ -53,7 +53,10 @@ TEST_P(CalibratorSweep, PlanRespectsBudgetAndPartitionsInputs) {
 
   // The calibrator's own estimate respected the budget; the realized slice
   // may exceed the CI-upper estimate only by sampling error.
-  EXPECT_LE(plan->calibration.estimated_hot_bytes, param.budget);
+  auto calibration = Calibrator(cfg).Calibrate(dataset);
+  ASSERT_TRUE(calibration.ok()) << calibration.status().ToString();
+  EXPECT_EQ(calibration->threshold, plan->threshold);
+  EXPECT_LE(calibration->estimated_hot_bytes, param.budget);
   EXPECT_LE(plan->hot_bytes,
             static_cast<uint64_t>(1.35 * static_cast<double>(param.budget)));
 

@@ -232,7 +232,7 @@ TEST(ColdPrecisionTest, ResumePrecisionDirections) {
   std::filesystem::remove(path);
 }
 
-// The cache and baseline combinations are swept in
+// The cache, baseline and comparator combinations are swept in
 // composition_matrix_test.cc; these are the knob's own demands.
 TEST(ColdPrecisionTest, RejectsIllegalCombinations) {
   Fixture f;
@@ -258,15 +258,6 @@ TEST(ColdPrecisionTest, RejectsIllegalCombinations) {
     auto model = f.NewModel(5);
     Trainer t(model.get(), MakePaperServer(1), opt);
     auto r = t.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  }
-  {
-    // Model-parallel placement keeps every table sharded at fp32.
-    TrainOptions opt = Fixture::Options(ColdPrecision::kInt8);
-    auto model = f.NewModel(5);
-    Trainer t(model.get(), MakePaperServer(1), opt);
-    auto r = t.TrainModelParallel(f.dataset, f.split);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }

@@ -1,6 +1,7 @@
 // Every pair of training modes either composes or is refused with a
 // reason. One table-driven sweep over pipeline × cache × cold precision ×
-// stale skip, for the baseline and the FAE driver:
+// stale skip, for the baseline, FAE and the three comparators (NvOPT,
+// model-parallel, GPU cache) that share the baseline's driver:
 //   - a legal combination leaves the loss curve and
 //     Timeline::PhaseSumSeconds bit-identical to the all-off run: the
 //     pipeline, the cache and stale skip at threshold 0 only move the
@@ -34,8 +35,8 @@ struct Cell {
   ColdPrecision cold = ColdPrecision::kFp32;
   StaleSkipMode stale = StaleSkipMode::kOff;
 
-  std::string Label(bool fae) const {
-    return std::string(fae ? "fae" : "baseline") +
+  std::string Label(TrainMode mode) const {
+    return std::string(TrainModeName(mode)) +
            " pipeline=" + std::string(PipelineModeName(pipeline)) +
            " cache=" + std::string(CacheModeName(cache)) +
            " cold=" + std::string(ColdPrecisionName(cold)) +
@@ -63,8 +64,10 @@ std::vector<Cell> AllCells() {
 /// The flag pairs a cell violates: the refusal message must name both
 /// flags of at least one of them. Empty means the cell must compose.
 using FlagPair = std::pair<std::string, std::string>;
-std::vector<FlagPair> Conflicts(const Cell& c, bool fae) {
+std::vector<FlagPair> Conflicts(const Cell& c, TrainMode mode) {
   std::vector<FlagPair> out;
+  const bool fae = mode == TrainMode::kFae;
+  const bool comparator = !fae && mode != TrainMode::kBaseline;
   const bool cache = c.cache != CacheMode::kOff;
   const bool quantized = c.cold != ColdPrecision::kFp32;
   const bool stale = c.stale != StaleSkipMode::kOff;
@@ -73,8 +76,9 @@ std::vector<FlagPair> Conflicts(const Cell& c, bool fae) {
   }
   if (cache && quantized) out.emplace_back("--cold-precision", "--cache");
   if (cache && stale) out.emplace_back("--stale-skip", "--cache");
+  if (comparator && cache) out.emplace_back("--cache", "--mode");
   if (!fae && quantized) out.emplace_back("--cold-precision", "--mode");
-  if (!fae && c.stale == StaleSkipMode::kCold) {
+  if ((comparator && stale) || (!fae && c.stale == StaleSkipMode::kCold)) {
     out.emplace_back("--stale-skip", "--mode");
   }
   return out;
@@ -114,11 +118,14 @@ struct Fixture {
     return cfg;
   }
 
-  StatusOr<TrainReport> Run(const Cell& c, const FaePlan* plan) const {
+  StatusOr<TrainReport> Run(TrainMode mode, const Cell& c,
+                            const FaePlan& plan) const {
     auto model = MakeModel(schema, /*full_size=*/false, 5);
     Trainer trainer(model.get(), MakePaperServer(2), Options(c));
-    if (plan == nullptr) return trainer.TrainBaselineResumable(dataset, split);
-    return trainer.TrainFaeWithPlan(dataset, split, Config(c.cold), *plan);
+    if (mode == TrainMode::kFae) {
+      return trainer.TrainFaeWithPlan(dataset, split, Config(c.cold), plan);
+    }
+    return trainer.Train(mode, dataset, split, &plan);
   }
 
   DatasetSchema schema;
@@ -140,19 +147,20 @@ void ExpectSameRun(const TrainReport& ref, const TrainReport& got,
   }
 }
 
-/// Runs every cell through one driver (`plans` empty = the baseline;
-/// otherwise one FAE plan per cold precision, fp32 first).
-void SweepDriver(const Fixture& f, const std::vector<FaePlan>& plans) {
-  const bool fae = !plans.empty();
+/// Runs every cell in `mode`. `plans` holds one FAE plan per cold
+/// precision, fp32 first (the GPU cache's contents come from the fp32 one).
+void SweepMode(const Fixture& f, TrainMode mode,
+               const std::vector<FaePlan>& plans) {
+  const bool fae = mode == TrainMode::kFae;
   std::optional<TrainReport> refs[2];  // the all-off run per precision
   size_t legal = 0;
   size_t refused = 0;
   std::set<FlagPair> sole_reasons;  // pairs that are some cell's only one
   for (const Cell& c : AllCells()) {
-    const std::string label = c.Label(fae);
-    const std::vector<FlagPair> conflicts = Conflicts(c, fae);
+    const std::string label = c.Label(mode);
+    const std::vector<FlagPair> conflicts = Conflicts(c, mode);
     const size_t precision = c.cold == ColdPrecision::kFp32 ? 0 : 1;
-    StatusOr<TrainReport> r = f.Run(c, fae ? &plans[precision] : nullptr);
+    StatusOr<TrainReport> r = f.Run(mode, c, plans[fae ? precision : 0]);
     if (!conflicts.empty()) {
       ++refused;
       if (conflicts.size() == 1) sole_reasons.insert(conflicts.front());
@@ -178,37 +186,59 @@ void SweepDriver(const Fixture& f, const std::vector<FaePlan>& plans) {
       ASSERT_FALSE(ref->curve.empty());
     }
   }
-  // The legality table itself: which cells compose, per driver.
-  EXPECT_EQ(legal, fae ? 20u : 8u);
+  // The legality table itself: which cells compose, per mode. A
+  // comparator composes only with the pipeline.
+  const bool comparator = !fae && mode != TrainMode::kBaseline;
+  EXPECT_EQ(legal, fae ? 20u : comparator ? 3u : 8u);
   EXPECT_EQ(refused, AllCells().size() - legal);
   // The baseline refuses every quantized cell for its mode first, so the
-  // cold-precision x cache refusal is checked on its own by the FAE sweep.
-  std::set<FlagPair> reasons = {{"--cache", "--pipeline"},
-                                {"--stale-skip", "--cache"}};
-  if (fae) {
-    reasons.insert({"--cold-precision", "--cache"});
+  // cold-precision x cache refusal is checked on its own by the FAE sweep;
+  // a comparator refuses every cache cell for its mode.
+  std::set<FlagPair> reasons;
+  if (comparator) {
+    reasons = {{"--cache", "--mode"},
+               {"--cold-precision", "--mode"},
+               {"--stale-skip", "--mode"}};
   } else {
-    reasons.insert({"--cold-precision", "--mode"});
-    reasons.insert({"--stale-skip", "--mode"});
+    reasons = {{"--cache", "--pipeline"}, {"--stale-skip", "--cache"}};
+    if (fae) {
+      reasons.insert({"--cold-precision", "--cache"});
+    } else {
+      reasons.insert({"--cold-precision", "--mode"});
+      reasons.insert({"--stale-skip", "--mode"});
+    }
   }
   EXPECT_EQ(sole_reasons, reasons);
 }
 
-TEST(CompositionMatrixTest, BaselineComposesOrRefusesEveryCombination) {
-  Fixture f;
-  SweepDriver(f, {});
-}
-
-TEST(CompositionMatrixTest, FaeComposesOrRefusesEveryCombination) {
-  Fixture f;
+std::vector<FaePlan> Plans(const Fixture& f) {
   std::vector<FaePlan> plans;
   for (ColdPrecision cold : {ColdPrecision::kFp32, ColdPrecision::kInt8}) {
     FaePipeline pipeline(Fixture::Config(cold));
     auto plan = pipeline.Prepare(f.dataset, f.split.train);
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     plans.push_back(std::move(plan).value());
   }
-  SweepDriver(f, plans);
+  return plans;
+}
+
+TEST(CompositionMatrixTest, BaselineComposesOrRefusesEveryCombination) {
+  Fixture f;
+  SweepMode(f, TrainMode::kBaseline, {FaePlan{}});  // needs no plan
+}
+
+TEST(CompositionMatrixTest, FaeComposesOrRefusesEveryCombination) {
+  Fixture f;
+  SweepMode(f, TrainMode::kFae, Plans(f));
+}
+
+TEST(CompositionMatrixTest, ComparatorsComposeOrRefuseEveryCombination) {
+  Fixture f;
+  const std::vector<FaePlan> plans = Plans(f);
+  for (TrainMode mode : {TrainMode::kNvOpt, TrainMode::kModelParallel,
+                         TrainMode::kGpuCache}) {
+    SweepMode(f, mode, plans);
+  }
 }
 
 }  // namespace

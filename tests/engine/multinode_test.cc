@@ -135,14 +135,21 @@ TEST(MultiNodeTest, GlobalBatchScalesWithWorld) {
   EXPECT_EQ(trainer.GlobalBatchSize(), 64u * 8);
 }
 
-TEST(MultiNodeDeathTest, ComparatorsAreSingleNode) {
+TEST(MultiNodeTest, ComparatorsRefuseMultiNode) {
   Fixture f;
   auto model = MakeModel(f.schema, false, 5);
   Trainer trainer(model.get(), MakeMultiNodeCluster(2, 2),
                   Fixture::Options());
-  EXPECT_DEATH((void)trainer.TrainNvOpt(f.dataset, f.split), "single node");
-  EXPECT_DEATH((void)trainer.TrainModelParallel(f.dataset, f.split),
-               "single node");
+  for (TrainMode mode : {TrainMode::kNvOpt, TrainMode::kModelParallel,
+                         TrainMode::kGpuCache}) {
+    const FaePlan empty;
+    auto r = trainer.Train(mode, f.dataset, f.split, &empty);
+    ASSERT_FALSE(r.ok()) << TrainModeName(mode);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    const std::string msg(r.status().message());
+    EXPECT_NE(msg.find("--nodes"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--mode"), std::string::npos) << msg;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include "data/synthetic.h"
 #include "engine/trainer.h"
 #include "models/factory.h"
+#include "test_util.h"
+#include "util/file_io.h"
 #include "util/half.h"
 
 namespace fae {
@@ -122,12 +124,16 @@ TEST(ModelParallelTest, RunsAndChargesNvlinkNotPcie) {
   Fixture f;
   auto model = f.NewModel();
   Trainer trainer(model.get(), MakePaperServer(4), Fixture::Options(false));
-  auto report = trainer.TrainModelParallel(f.dataset, f.split);
+  auto report = trainer.Train(TrainMode::kModelParallel, f.dataset, f.split);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->mode, TrainMode::kModelParallel);
   EXPECT_EQ(report->timeline.pcie_bytes(), 0u);
   EXPECT_GT(report->timeline.nvlink_bytes(), 0u);
-  EXPECT_EQ(report->timeline.cpu_busy_seconds(), 0.0);
+  // The host stages batches (input prep, as in every mode) but touches no
+  // embedding row: all of its busy time is the staging.
+  EXPECT_GT(report->timeline.seconds(Phase::kInputPrep), 0.0);
+  EXPECT_EQ(report->timeline.cpu_busy_seconds(),
+            report->timeline.seconds(Phase::kInputPrep));
 }
 
 TEST(ModelParallelTest, RejectsOversizedShards) {
@@ -136,24 +142,9 @@ TEST(ModelParallelTest, RejectsOversizedShards) {
   SystemSpec sys = MakePaperServer(2);
   sys.gpu.mem_capacity = 1 << 10;  // 1 KB GPU: nothing fits
   Trainer trainer(model.get(), sys, Fixture::Options(false));
-  auto report = trainer.TrainModelParallel(f.dataset, f.split);
+  auto report = trainer.Train(TrainMode::kModelParallel, f.dataset, f.split);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(ModelParallelTest, MathMatchesBaseline) {
-  // Placement does not change the math: identical final metrics for the
-  // same seed and batch order.
-  Fixture f;
-  auto m1 = f.NewModel(3);
-  Trainer t1(m1.get(), MakePaperServer(2), Fixture::Options(true));
-  TrainReport base = t1.TrainBaseline(f.dataset, f.split);
-  auto m2 = f.NewModel(3);
-  Trainer t2(m2.get(), MakePaperServer(2), Fixture::Options(true));
-  auto mp = t2.TrainModelParallel(f.dataset, f.split);
-  ASSERT_TRUE(mp.ok());
-  EXPECT_DOUBLE_EQ(base.final_test_loss, mp->final_test_loss);
-  EXPECT_DOUBLE_EQ(base.final_test_acc, mp->final_test_acc);
 }
 
 TEST(GpuCacheTest, BeatsBaselineAndStaysStalledByMisses) {
@@ -173,7 +164,9 @@ TEST(GpuCacheTest, BeatsBaselineAndStaysStalledByMisses) {
 
   auto cm = f.NewModel();
   Trainer ct(cm.get(), MakePaperServer(4), Fixture::Options(false));
-  TrainReport cache = ct.TrainGpuCache(f.dataset, f.split, plan);
+  auto cache_run = ct.Train(TrainMode::kGpuCache, f.dataset, f.split, &plan);
+  ASSERT_TRUE(cache_run.ok()) << cache_run.status().ToString();
+  const TrainReport& cache = *cache_run;
   EXPECT_EQ(cache.mode, TrainMode::kGpuCache);
 
   auto fm = f.NewModel();
@@ -189,17 +182,100 @@ TEST(GpuCacheTest, BeatsBaselineAndStaysStalledByMisses) {
                                             base.timeline.pcie_bytes());
 }
 
-TEST(GpuCacheTest, MathMatchesBaseline) {
+// The comparators run on the baseline's shuffled-order driver: only the
+// step charge differs, so batch order and math are the baseline's, bit for
+// bit, and so is every input-prep charge.
+const TrainMode kComparators[] = {TrainMode::kNvOpt, TrainMode::kModelParallel,
+                                  TrainMode::kGpuCache};
+
+void ExpectSameCurve(const TrainReport& a, const TrainReport& b,
+                     TrainMode mode) {
+  const std::string label(TrainModeName(mode));
+  ASSERT_EQ(a.curve.size(), b.curve.size()) << label;
+  for (size_t i = 0; i < a.curve.size(); ++i) {
+    EXPECT_EQ(a.curve[i].iteration, b.curve[i].iteration) << label;
+    EXPECT_EQ(a.curve[i].train_loss, b.curve[i].train_loss) << label;
+    EXPECT_EQ(a.curve[i].test_loss, b.curve[i].test_loss) << label;
+    EXPECT_EQ(a.curve[i].test_acc, b.curve[i].test_acc) << label;
+  }
+  EXPECT_EQ(a.final_test_loss, b.final_test_loss) << label;
+  EXPECT_EQ(a.final_test_acc, b.final_test_acc) << label;
+}
+
+void ExpectMatchesBaseline(TrainMode mode) {
   Fixture f;
-  FaePlan plan = f.Plan();
-  auto m1 = f.NewModel(3);
-  Trainer t1(m1.get(), MakePaperServer(1), Fixture::Options(true));
-  TrainReport base = t1.TrainBaseline(f.dataset, f.split);
-  auto m2 = f.NewModel(3);
-  Trainer t2(m2.get(), MakePaperServer(1), Fixture::Options(true));
-  TrainReport cache = t2.TrainGpuCache(f.dataset, f.split, plan);
-  EXPECT_DOUBLE_EQ(base.final_test_loss, cache.final_test_loss);
-  EXPECT_DOUBLE_EQ(base.final_test_acc, cache.final_test_acc);
+  const FaePlan plan = f.Plan();
+  auto bm = f.NewModel(3);
+  Trainer bt(bm.get(), MakePaperServer(2), Fixture::Options(true));
+  const TrainReport base = bt.TrainBaseline(f.dataset, f.split);
+  ASSERT_FALSE(base.curve.empty());
+  auto m = f.NewModel(3);
+  Trainer t(m.get(), MakePaperServer(2), Fixture::Options(true));
+  auto r = t.Train(mode, f.dataset, f.split, &plan);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->mode, mode);
+  ExpectSameCurve(base, *r, mode);
+  EXPECT_EQ(r->timeline.seconds(Phase::kInputPrep),
+            base.timeline.seconds(Phase::kInputPrep))
+      << TrainModeName(mode);
+}
+
+TEST(NvOptTest, MathMatchesBaseline) {
+  ExpectMatchesBaseline(TrainMode::kNvOpt);
+}
+
+TEST(ModelParallelTest, MathMatchesBaseline) {
+  ExpectMatchesBaseline(TrainMode::kModelParallel);
+}
+
+TEST(GpuCacheTest, MathMatchesBaseline) {
+  ExpectMatchesBaseline(TrainMode::kGpuCache);
+}
+
+TEST(ComparatorTest, CrashAndResumeIsBitExact) {
+  Fixture f;
+  const FaePlan plan = f.Plan();
+  const std::string path = TempPath("fae_comparator_resume.faec");
+  for (TrainMode mode : kComparators) {
+    const std::string label(TrainModeName(mode));
+    auto ma = f.NewModel(5);
+    Trainer whole(ma.get(), MakePaperServer(1), Fixture::Options(true));
+    auto a = whole.Train(mode, f.dataset, f.split, &plan);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+
+    TrainOptions opt = Fixture::Options(true);
+    opt.checkpoint.path = path;
+    opt.checkpoint.every_steps = 5;
+    auto crash_plan = FaultInjector::Parse("crash@13");
+    ASSERT_TRUE(crash_plan.ok());
+    opt.fault_injector = &*crash_plan;
+    auto mb = f.NewModel(5);
+    Trainer crashing(mb.get(), MakePaperServer(1), opt);
+    auto b = crashing.Train(mode, f.dataset, f.split, &plan);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_TRUE(b->interrupted) << label;
+    EXPECT_EQ(b->num_batches, 13u) << label;
+
+    // The checkpoint carries its placement: the baseline must refuse it.
+    TrainOptions resume_opt = Fixture::Options(true);
+    resume_opt.checkpoint.path = path;
+    resume_opt.checkpoint.resume = true;
+    auto mx = f.NewModel(999);
+    Trainer other(mx.get(), MakePaperServer(1), resume_opt);
+    EXPECT_FALSE(other.TrainBaselineResumable(f.dataset, f.split).ok())
+        << label;
+
+    auto mc = f.NewModel(999);
+    Trainer resumed(mc.get(), MakePaperServer(1), resume_opt);
+    auto c = resumed.Train(mode, f.dataset, f.split, &plan);
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    EXPECT_TRUE(c->resumed) << label;
+    EXPECT_EQ(c->resumed_at, 10u) << label;
+    EXPECT_EQ(c->num_batches, a->num_batches) << label;
+    ExpectSameCurve(*a, *c, mode);
+    EXPECT_EQ(c->modeled_seconds, a->modeled_seconds) << label;
+  }
+  (void)RemoveFile(path);
 }
 
 // The strongest baseline is the hybrid trainer with its CPU and GPU lanes

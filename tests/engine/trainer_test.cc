@@ -184,9 +184,10 @@ TEST(TrainerTest, NvOptRunsAndBeatsBaselineWhenTablesFit) {
   TrainReport base = bt.TrainBaseline(f.dataset, f.split);
   auto nm = f.NewModel();
   Trainer nt(nm.get(), MakePaperServer(1), Fixture::Options(false));
-  TrainReport nv = nt.TrainNvOpt(f.dataset, f.split);
-  EXPECT_GT(nv.modeled_seconds, 0.0);
-  EXPECT_LT(nv.modeled_seconds, base.modeled_seconds);
+  auto nv = nt.Train(TrainMode::kNvOpt, f.dataset, f.split);
+  ASSERT_TRUE(nv.ok()) << nv.status().ToString();
+  EXPECT_GT(nv->modeled_seconds, 0.0);
+  EXPECT_LT(nv->modeled_seconds, base.modeled_seconds);
 }
 
 TEST(TrainerTest, CostOnlyModeSkipsMath) {

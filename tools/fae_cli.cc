@@ -33,7 +33,12 @@
 //
 // Every subcommand refuses a flag it does not read (exit code 2, an error
 // naming the flag) before it does any work, so a misspelt or retired flag
-// never runs silently as the default.
+// never runs silently as the default. `train` also refuses, with exit code
+// 2 and before loading the dataset, every flag combination that
+// ValidateTrainOptions rejects (engine/trainer.h), e.g. a comparator mode
+// (nvopt, model-parallel, cache) with --nodes > 1, --cache, --stale-skip or
+// --cold-precision, or --dirty-sync outside --mode=fae. Every mode honors
+// --pipeline, --ckpt/--resume and --fault-plan.
 //
 // The `generate -> preprocess -> train` flow mirrors the paper's once-per-
 // dataset static pass followed by repeated training runs; `serve` replays
@@ -57,7 +62,6 @@
 #include "embedding/cold_precision.h"
 #include "data/dataset_io.h"
 #include "data/synthetic.h"
-#include "engine/ring_limits.h"
 #include "engine/trainer.h"
 #include "models/factory.h"
 #include "serve/serving_loop.h"
@@ -71,19 +75,6 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// Refuses any flag `command` does not read: a misspelt or retired flag
-/// would otherwise be silently ignored, and the run would pass for the
-/// experiment it was not. Prints one error per unknown flag.
-bool AcceptsOnly(const bench::Args& args, const char* command,
-                 std::initializer_list<std::string_view> accepted) {
-  const std::vector<std::string> unknown = args.UnknownFlags(accepted);
-  for (const std::string& flag : unknown) {
-    std::fprintf(stderr, "error: unknown flag --%s for `fae %s`\n",
-                 flag.c_str(), command);
-  }
-  return unknown.empty();
-}
-
 int Usage() {
   std::fprintf(stderr,
                "usage: fae <generate|inspect|preprocess|train|serve> "
@@ -95,34 +86,6 @@ int Usage() {
 // Sentinel distinguishing an absent flag from one given an empty value
 // ("--threads=" must be rejected, not silently defaulted).
 constexpr const char kFlagAbsent[] = "\x01";
-
-/// Strict integer flag parsing. Args::GetInt is atol-based, so
-/// `--threads=x` or `--threads=-2` silently became a zero or negative
-/// resource count; flags that size resources reject anything that is not
-/// an integer >= `min_value` with an error naming the flag.
-bool StrictLongFlag(const bench::Args& args, const char* key, long fallback,
-                    long min_value, long* out) {
-  const std::string raw = args.GetString(key, kFlagAbsent);
-  if (raw == kFlagAbsent) {
-    *out = fallback;
-    return true;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long value = std::strtol(raw.c_str(), &end, 10);
-  if (raw.empty() || errno != 0 || end != raw.c_str() + raw.size()) {
-    std::fprintf(stderr, "error: --%s='%s' is not an integer\n", key,
-                 raw.c_str());
-    return false;
-  }
-  if (value < min_value) {
-    std::fprintf(stderr, "error: --%s must be >= %ld (got %ld)\n", key,
-                 min_value, value);
-    return false;
-  }
-  *out = value;
-  return true;
-}
 
 /// Strict floating-point flag parsing: the whole value must be a number.
 /// Range checks stay with the consumer (ServeOptions::Validate), so the
@@ -146,8 +109,8 @@ bool StrictDoubleFlag(const bench::Args& args, const char* key,
 }
 
 /// Parses the --cache flag triple shared by `train` and `serve`. Bad input
-/// prints an error and returns false. Depth bounds come from the same
-/// ValidateRingDepth the staging ring uses (engine/ring_limits.h).
+/// prints an error and returns false. Range and mode checks stay with the
+/// consumer (ValidateTrainOptions, ServeOptions::Validate).
 bool ParseCacheFlags(const bench::Args& args, CacheMode* mode,
                      size_t* budget_rows, size_t* lookahead) {
   const std::string cache = args.GetString("cache", "off");
@@ -161,16 +124,8 @@ bool ParseCacheFlags(const bench::Args& args, CacheMode* mode,
                  cache.c_str());
     return false;
   }
-  long v = 0;
-  if (!StrictLongFlag(args, "cache-budget-rows", 4096, 1, &v)) return false;
-  *budget_rows = static_cast<size_t>(v);
-  if (!StrictLongFlag(args, "cache-lookahead", 8, 1, &v)) return false;
-  const StatusOr<size_t> depth = ValidateRingDepth(v, "--cache-lookahead");
-  if (!depth.ok()) {
-    std::fprintf(stderr, "error: %s\n", depth.status().ToString().c_str());
-    return false;
-  }
-  *lookahead = *depth;
+  *budget_rows = args.GetPositiveInt("cache-budget-rows", 4096);
+  *lookahead = args.GetPositiveInt("cache-lookahead", 8);
   return true;
 }
 
@@ -223,15 +178,8 @@ bool ParseStaleFlags(const bench::Args& args, StaleSkipMode* mode,
   }
   double t = 0.0;
   if (!StrictDoubleFlag(args, "stale-threshold", 0.0, &t)) return false;
-  if (t < 0.0) {
-    std::fprintf(stderr, "error: --stale-threshold must be >= 0 (got %g)\n",
-                 t);
-    return false;
-  }
-  long v = 0;
-  if (!StrictLongFlag(args, "stale-min-visits", 8, 1, &v)) return false;
   *threshold = t;
-  *min_visits = static_cast<size_t>(v);
+  *min_visits = args.GetPositiveInt("stale-min-visits", 8);
   return true;
 }
 
@@ -242,11 +190,9 @@ WorkloadKind ParseWorkload(const std::string& name) {
 }
 
 int Generate(const bench::Args& args) {
-  if (!AcceptsOnly(args, "generate",
+  args.AcceptsOnly("fae generate",
                    {"out", "workload", "scale", "inputs", "seed", "zipf",
-                    "drift"})) {
-    return 2;
-  }
+                    "drift"});
   const std::string out = args.GetString("out", "");
   if (out.empty()) return Usage();
   const WorkloadKind kind = ParseWorkload(args.GetString("workload", "kaggle"));
@@ -273,7 +219,7 @@ int Generate(const bench::Args& args) {
 }
 
 int Inspect(const bench::Args& args) {
-  if (!AcceptsOnly(args, "inspect", {"data"})) return 2;
+  args.AcceptsOnly("fae inspect", {"data"});
   const std::string path = args.GetString("data", "");
   if (path.empty()) return Usage();
   auto dataset = DatasetIo::Load(path);
@@ -296,10 +242,8 @@ int Inspect(const bench::Args& args) {
 }
 
 int Preprocess(const bench::Args& args) {
-  if (!AcceptsOnly(args, "preprocess",
-                   {"data", "out", "sample-rate", "budget-kb", "cutoff-kb"})) {
-    return 2;
-  }
+  args.AcceptsOnly("fae preprocess",
+                   {"data", "out", "sample-rate", "budget-kb", "cutoff-kb"});
   const std::string data_path = args.GetString("data", "");
   const std::string out = args.GetString("out", "");
   if (data_path.empty() || out.empty()) return Usage();
@@ -324,34 +268,35 @@ int Preprocess(const bench::Args& args) {
 }
 
 int Train(const bench::Args& args) {
-  if (!AcceptsOnly(
-          args, "train",
-          {"data", "plan", "mode", "gpus", "nodes", "batch", "epochs",
-           "test-frac", "cost-only", "budget-kb", "sample-rate", "cutoff-kb",
-           "threads", "dirty-sync", "full-model", "pipeline",
-           "pipeline-depth", "cache", "cache-budget-rows", "cache-lookahead",
-           "cold-precision", "stale-skip", "stale-threshold",
-           "stale-min-visits", "ckpt", "ckpt-every", "resume",
-           "fault-plan"})) {
-    return 2;
-  }
+  args.AcceptsOnly("fae train",
+                   {"data", "plan", "mode", "gpus", "nodes", "batch", "epochs",
+                    "test-frac", "cost-only", "budget-kb", "sample-rate",
+                    "cutoff-kb", "threads", "dirty-sync", "full-model",
+                    "pipeline", "pipeline-depth", "cache", "cache-budget-rows",
+                    "cache-lookahead", "cold-precision", "stale-skip",
+                    "stale-threshold", "stale-min-visits", "ckpt", "ckpt-every",
+                    "resume", "fault-plan"});
   const std::string data_path = args.GetString("data", "");
   if (data_path.empty()) return Usage();
-  auto dataset = DatasetIo::Load(data_path);
-  if (!dataset.ok()) return Fail(dataset.status());
-  Dataset::Split split = dataset->MakeSplit(args.GetDouble("test-frac", 0.1));
-
-  long batch = 0, epochs = 0, threads = 0;
-  if (!StrictLongFlag(args, "batch", 1024, 1, &batch) ||
-      !StrictLongFlag(args, "epochs", 1, 1, &epochs) ||
-      !StrictLongFlag(args, "threads", 1, 1, &threads)) {
-    return 2;
+  const std::string mode_flag = args.GetString("mode", "fae");
+  TrainMode mode = TrainMode::kFae;
+  if (mode_flag == "baseline") {
+    mode = TrainMode::kBaseline;
+  } else if (mode_flag == "nvopt") {
+    mode = TrainMode::kNvOpt;
+  } else if (mode_flag == "model-parallel") {
+    mode = TrainMode::kModelParallel;
+  } else if (mode_flag == "cache") {
+    mode = TrainMode::kGpuCache;
+  } else if (mode_flag != "fae") {
+    return Usage();
   }
+
   TrainOptions options;
-  options.per_gpu_batch = static_cast<size_t>(batch);
-  options.epochs = static_cast<size_t>(epochs);
+  options.per_gpu_batch = args.GetPositiveInt("batch", 1024);
+  options.epochs = args.GetPositiveInt("epochs", 1);
   options.run_math = !args.GetBool("cost-only", false);
-  options.num_threads = static_cast<size_t>(threads);
+  options.num_threads = args.GetPositiveInt("threads", 1);
   options.sync_strategy = args.GetBool("dirty-sync", false)
                               ? SyncStrategy::kDirty
                               : SyncStrategy::kFull;
@@ -365,59 +310,16 @@ int Train(const bench::Args& args) {
                  "(expected off|prefetch|overlap)\n", pipeline.c_str());
     return 2;
   }
-  long pipeline_depth = 0, ckpt_every = 0;
-  if (!StrictLongFlag(args, "pipeline-depth", 2, 1, &pipeline_depth) ||
-      !StrictLongFlag(args, "ckpt-every", 100, 1, &ckpt_every)) {
-    return 2;
-  }
-  const StatusOr<size_t> depth =
-      ValidateRingDepth(pipeline_depth, "--pipeline-depth");
-  if (!depth.ok()) return Fail(depth.status());
-  options.pipeline_depth = *depth;
+  options.pipeline_depth = args.GetPositiveInt("pipeline-depth", 2);
   if (!ParseCacheFlags(args, &options.cache, &options.cache_budget_rows,
-                       &options.cache_lookahead)) {
-    return 2;
-  }
-  if (options.cache == CacheMode::kOracle &&
-      options.pipeline == PipelineMode::kOff) {
-    std::fprintf(stderr,
-                 "error: --cache=oracle requires --pipeline=prefetch or "
-                 "--pipeline=overlap (the oracle window is the staging "
-                 "pipeline's forward visibility)\n");
-    return 2;
-  }
-  if (!ParseColdPrecisionFlag(args, &options.cold_precision)) return 2;
-  if (options.cold_precision != ColdPrecision::kFp32 &&
-      options.cache == CacheMode::kOracle) {
-    std::fprintf(stderr,
-                 "error: --cold-precision=%s cannot be combined with "
-                 "--cache=oracle (the cache's budget accounting assumes "
-                 "fp32 cold rows)\n",
-                 std::string(ColdPrecisionName(options.cold_precision))
-                     .c_str());
-    return 2;
-  }
-  if (!ParseStaleFlags(args, &options.stale_skip, &options.stale_threshold,
+                       &options.cache_lookahead) ||
+      !ParseColdPrecisionFlag(args, &options.cold_precision) ||
+      !ParseStaleFlags(args, &options.stale_skip, &options.stale_threshold,
                        &options.stale_min_visits)) {
     return 2;
   }
-  if (options.stale_skip != StaleSkipMode::kOff && !options.run_math) {
-    std::fprintf(stderr,
-                 "error: --stale-skip requires real math; it cannot be "
-                 "combined with --cost-only (skip decisions read measured "
-                 "per-row update magnitudes)\n");
-    return 2;
-  }
-  if (options.stale_skip != StaleSkipMode::kOff &&
-      options.cache == CacheMode::kOracle) {
-    std::fprintf(stderr,
-                 "error: --stale-skip cannot be combined with "
-                 "--cache=oracle (both reprice the same cold-step charges, "
-                 "so their savings would double-count)\n");
-    return 2;
-  }
   options.checkpoint.path = args.GetString("ckpt", "");
-  options.checkpoint.every_steps = static_cast<size_t>(ckpt_every);
+  options.checkpoint.every_steps = args.GetPositiveInt("ckpt-every", 100);
   options.checkpoint.resume = args.GetBool("resume", false);
 
   FaultInjector injector;
@@ -428,13 +330,8 @@ int Train(const bench::Args& args) {
     injector = std::move(parsed).value();
     options.fault_injector = &injector;
   }
-  long gpus_flag = 0, nodes_flag = 0;
-  if (!StrictLongFlag(args, "gpus", 4, 1, &gpus_flag) ||
-      !StrictLongFlag(args, "nodes", 1, 1, &nodes_flag)) {
-    return 2;
-  }
-  const int gpus = static_cast<int>(gpus_flag);
-  const int nodes = static_cast<int>(nodes_flag);
+  const int gpus = static_cast<int>(args.GetPositiveInt("gpus", 4));
+  const int nodes = static_cast<int>(args.GetPositiveInt("nodes", 1));
   SystemSpec system = nodes > 1 ? MakeMultiNodeCluster(nodes, gpus)
                                 : MakePaperServer(gpus);
 
@@ -445,76 +342,36 @@ int Train(const bench::Args& args) {
   config.cold_precision = options.cold_precision;
   system.hot_embedding_budget = config.gpu_memory_budget;
 
+  // Every mode/flag conflict is refused here, before the dataset loads.
+  const Status valid = ValidateTrainOptions(mode, options, system);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "error: %s\n", valid.ToString().c_str());
+    return 2;
+  }
+
+  auto dataset = DatasetIo::Load(data_path);
+  if (!dataset.ok()) return Fail(dataset.status());
+  Dataset::Split split = dataset->MakeSplit(args.GetDouble("test-frac", 0.1));
   auto model = MakeModel(dataset->schema(),
                          args.GetBool("full-model", false), 7);
   Trainer trainer(model.get(), system, options);
 
-  const std::string mode = args.GetString("mode", "fae");
-  if (options.cold_precision != ColdPrecision::kFp32 && mode != "fae") {
-    std::fprintf(stderr,
-                 "error: --cold-precision applies to --mode=fae only "
-                 "(mode '%s' has no hot/cold partition, so there is no "
-                 "cold store to quantize)\n",
-                 mode.c_str());
-    return 2;
-  }
-  if (options.cache == CacheMode::kOracle && mode != "baseline" &&
-      mode != "fae") {
-    std::fprintf(stderr,
-                 "error: --cache=oracle applies to --mode=baseline or "
-                 "--mode=fae only (mode '%s' has no pipelined hybrid "
-                 "path to accelerate)\n",
-                 mode.c_str());
-    return 2;
-  }
-  if (options.stale_skip == StaleSkipMode::kCold && mode != "fae") {
-    std::fprintf(stderr,
-                 "error: --stale-skip=cold applies to --mode=fae only "
-                 "(mode '%s' has no hot/cold partition, so there is no hot "
-                 "set to pin live; use --stale-skip=all)\n",
-                 mode.c_str());
-    return 2;
-  }
-  if (options.stale_skip != StaleSkipMode::kOff && mode != "baseline" &&
-      mode != "fae") {
-    std::fprintf(stderr,
-                 "error: --stale-skip applies to --mode=baseline or "
-                 "--mode=fae only (mode '%s' runs no fused CPU sparse "
-                 "step for the tracker to ride)\n",
-                 mode.c_str());
-    return 2;
-  }
-  TrainReport report;
-  if (mode == "baseline") {
-    auto r = trainer.TrainBaselineResumable(*dataset, split);
-    if (!r.ok()) return Fail(r.status());
-    report = std::move(r).value();
-  } else if (mode == "nvopt") {
-    report = trainer.TrainNvOpt(*dataset, split);
-  } else if (mode == "model-parallel") {
-    auto r = trainer.TrainModelParallel(*dataset, split);
-    if (!r.ok()) return Fail(r.status());
-    report = std::move(r).value();
-  } else if (mode == "fae" || mode == "cache") {
-    FaePipeline pipeline(config);
-    StatusOr<FaePlan> plan = [&]() -> StatusOr<FaePlan> {
-      const std::string plan_path = args.GetString("plan", "");
-      if (!plan_path.empty()) {
-        return pipeline.PrepareCached(*dataset, split.train, plan_path);
-      }
-      return pipeline.Prepare(*dataset, split.train);
-    }();
+  // FAE and the GPU-cache comparator need a plan (its hot set).
+  StatusOr<FaePlan> plan = FaePlan{};
+  if (mode == TrainMode::kFae || mode == TrainMode::kGpuCache) {
+    FaePipeline fae_pipeline(config);
+    const std::string plan_path = args.GetString("plan", "");
+    plan = plan_path.empty()
+               ? fae_pipeline.Prepare(*dataset, split.train)
+               : fae_pipeline.PrepareCached(*dataset, split.train, plan_path);
     if (!plan.ok()) return Fail(plan.status());
-    if (mode == "cache") {
-      report = trainer.TrainGpuCache(*dataset, split, *plan);
-    } else {
-      auto r = trainer.TrainFaeWithPlan(*dataset, split, config, *plan);
-      if (!r.ok()) return Fail(r.status());
-      report = std::move(r).value();
-    }
-  } else {
-    return Usage();
   }
+  StatusOr<TrainReport> run =
+      mode == TrainMode::kFae
+          ? trainer.TrainFaeWithPlan(*dataset, split, config, *plan)
+          : trainer.Train(mode, *dataset, split, &*plan);
+  if (!run.ok()) return Fail(run.status());
+  const TrainReport& report = *run;
 
   std::printf("mode %s, %d GPU(s), %zu batches\n",
               std::string(TrainModeName(report.mode)).c_str(), gpus,
@@ -619,16 +476,14 @@ int Train(const bench::Args& args) {
 }
 
 int Serve(const bench::Args& args) {
-  if (!AcceptsOnly(
-          args, "serve",
-          {"data", "plan", "swap", "batch", "batches", "slo", "ema-alpha",
-           "recal-window", "recal-cooldown", "deadline-ms", "recal-retries",
-           "backoff-ms", "no-train", "cache", "cache-budget-rows",
-           "cache-lookahead", "cold-precision", "threads", "gpus",
-           "serve-config", "seed", "budget-kb", "sample-rate", "cutoff-kb",
-           "full-model", "fault-plan"})) {
-    return 2;
-  }
+  args.AcceptsOnly("fae serve",
+                   {"data", "plan", "swap", "batch", "batches", "slo",
+                    "ema-alpha", "recal-window", "recal-cooldown",
+                    "deadline-ms", "recal-retries", "backoff-ms", "no-train",
+                    "cache", "cache-budget-rows", "cache-lookahead",
+                    "cold-precision", "threads", "gpus", "serve-config", "seed",
+                    "budget-kb", "sample-rate", "cutoff-kb", "full-model",
+                    "fault-plan"});
   const std::string data_path = args.GetString("data", "");
   if (data_path.empty()) return Usage();
   auto dataset = DatasetIo::Load(data_path);
@@ -651,56 +506,30 @@ int Serve(const bench::Args& args) {
     if (!parsed.ok()) return Fail(parsed.status());
     opts = std::move(parsed).value();
   }
-  long v = 0;
   double d = 0.0;
-  if (!StrictLongFlag(args, "batch", static_cast<long>(opts.batch_size), 1,
-                      &v)) {
-    return 2;
-  }
-  opts.batch_size = static_cast<size_t>(v);
-  if (!StrictLongFlag(args, "batches", static_cast<long>(opts.num_batches),
-                      0, &v)) {
-    return 2;
-  }
-  opts.num_batches = static_cast<size_t>(v);
+  opts.batch_size = args.GetPositiveInt("batch", opts.batch_size);
+  opts.num_batches = args.GetNonNegativeInt("batches", opts.num_batches);
   if (!StrictDoubleFlag(args, "slo", opts.slo_hit_rate, &d)) return 2;
   opts.slo_hit_rate = d;
   if (!StrictDoubleFlag(args, "ema-alpha", opts.ema_alpha, &d)) return 2;
   opts.ema_alpha = d;
-  if (!StrictLongFlag(args, "recal-window",
-                      static_cast<long>(opts.recal_window), 1, &v)) {
-    return 2;
-  }
-  opts.recal_window = static_cast<size_t>(v);
-  if (!StrictLongFlag(args, "recal-cooldown",
-                      static_cast<long>(opts.recal_cooldown), 1, &v)) {
-    return 2;
-  }
-  opts.recal_cooldown = static_cast<size_t>(v);
+  opts.recal_window = args.GetPositiveInt("recal-window", opts.recal_window);
+  opts.recal_cooldown =
+      args.GetPositiveInt("recal-cooldown", opts.recal_cooldown);
   if (!StrictDoubleFlag(args, "deadline-ms",
                         opts.watchdog_deadline_seconds * 1e3, &d)) {
     return 2;
   }
   opts.watchdog_deadline_seconds = d / 1e3;
-  if (!StrictLongFlag(args, "recal-retries",
-                      static_cast<long>(opts.max_recal_retries), 1, &v)) {
-    return 2;
-  }
-  opts.max_recal_retries = static_cast<uint32_t>(v);
+  opts.max_recal_retries = static_cast<uint32_t>(
+      args.GetPositiveInt("recal-retries", opts.max_recal_retries));
   if (!StrictDoubleFlag(args, "backoff-ms", opts.retry_backoff_seconds * 1e3,
                         &d)) {
     return 2;
   }
   opts.retry_backoff_seconds = d / 1e3;
-  if (!StrictLongFlag(args, "threads", static_cast<long>(opts.num_threads),
-                      1, &v)) {
-    return 2;
-  }
-  opts.num_threads = static_cast<size_t>(v);
-  if (!StrictLongFlag(args, "seed", static_cast<long>(opts.seed), 0, &v)) {
-    return 2;
-  }
-  opts.seed = static_cast<uint64_t>(v);
+  opts.num_threads = args.GetPositiveInt("threads", opts.num_threads);
+  opts.seed = args.GetNonNegativeInt("seed", opts.seed);
   if (args.GetBool("no-train", false)) opts.continuous_training = false;
   opts.swap_path = args.GetString("swap", "");
   if (!ParseCacheFlags(args, &opts.cache, &opts.cache_budget_rows,
@@ -729,9 +558,8 @@ int Serve(const bench::Args& args) {
     opts.fault_injector = &injector;
   }
 
-  long gpus_flag = 0;
-  if (!StrictLongFlag(args, "gpus", 4, 1, &gpus_flag)) return 2;
-  SystemSpec system = MakePaperServer(static_cast<int>(gpus_flag));
+  SystemSpec system =
+      MakePaperServer(static_cast<int>(args.GetPositiveInt("gpus", 4)));
   FaeConfig config;
   config.sample_rate = args.GetDouble("sample-rate", 0.05);
   config.gpu_memory_budget = args.GetPositiveInt("budget-kb", 384) * 1024ull;
